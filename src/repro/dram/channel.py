@@ -72,6 +72,9 @@ class DRAMChannel:
                 banks.append(Bank(index=bank_index, timing=timing))
                 bank_index += 1
             self.bank_groups.append(BankGroup(index=group_index, banks=banks))
+        # Flat bank list, built once: every all-bank command walks it.
+        self._banks: List[Bank] = [bank for group in self.bank_groups
+                                   for bank in group.banks]
         self.stats = CommandStats()
         self._now: float = 0.0
         self._last_column_bus: float = -1e18
@@ -85,7 +88,7 @@ class DRAMChannel:
         return self._now
 
     def banks(self) -> List[Bank]:
-        return [bank for group in self.bank_groups for bank in group.banks]
+        return list(self._banks)
 
     def bank(self, flat_index: int) -> Bank:
         group, local = divmod(flat_index, self.geometry.banks_per_group)
@@ -96,7 +99,7 @@ class DRAMChannel:
         self._now = 0.0
         self._last_column_bus = -1e18
         self._last_activate_any = -1e18
-        for bank in self.banks():
+        for bank in self._banks:
             bank.open_row = None
             bank.last_activate = -1e18
             bank.last_precharge = -1e18
@@ -107,19 +110,7 @@ class DRAMChannel:
 
     def issue(self, command: DRAMCommand) -> float:
         """Schedule one command and return its issue time in nanoseconds."""
-        handler = {
-            CommandType.ACT: self._issue_activate,
-            CommandType.PRE: self._issue_precharge,
-            CommandType.ACT_ALL: self._issue_activate_all,
-            CommandType.PRE_ALL: self._issue_precharge_all,
-            CommandType.RD: self._issue_column,
-            CommandType.WR: self._issue_column,
-            CommandType.MAC_ALL: self._issue_mac_all,
-            CommandType.EWMUL: self._issue_ewmul,
-            CommandType.AF: self._issue_af,
-            CommandType.REF: self._issue_refresh,
-        }[command.kind]
-        issue_time = handler(command)
+        issue_time = self._ISSUERS[command.kind](self, command)
         self.stats.record(command.kind)
         self._now = max(self._now, issue_time)
         return issue_time
@@ -147,7 +138,7 @@ class DRAMChannel:
         last = first + (count - 1) * spacing
         is_write = command.kind is CommandType.WR
         if command.kind.is_all_bank:
-            affected = self.banks()
+            affected = self._banks
         elif command.kind is CommandType.EWMUL:
             affected = self.bank_groups[command.bank_group].banks
         else:
@@ -197,17 +188,17 @@ class DRAMChannel:
     def _issue_activate_all(self, command: DRAMCommand) -> float:
         """ACTab: activate the same row in every bank of the channel."""
         time = max(
-            max(bank.earliest_activate(self._now) for bank in self.banks()),
+            max(bank.earliest_activate(self._now) for bank in self._banks),
             self._last_activate_any + self.timing.t_rrd,
         )
-        for bank in self.banks():
+        for bank in self._banks:
             bank.record_activate(time, command.row)
         self._last_activate_any = time
         return time
 
     def _issue_precharge_all(self, command: DRAMCommand) -> float:
-        time = max(bank.earliest_precharge(self._now) for bank in self.banks())
-        for bank in self.banks():
+        time = max(bank.earliest_precharge(self._now) for bank in self._banks)
+        for bank in self._banks:
             bank.record_precharge(time)
         return time
 
@@ -230,11 +221,11 @@ class DRAMChannel:
         operand per bank per nanosecond — the 1 GHz PU rate.
         """
         constraint = self._last_column_bus + self.timing.t_ccd_s
-        for bank in self.banks():
+        for bank in self._banks:
             constraint = max(constraint, bank.earliest_column(self._now, is_write=False,
                                                               all_bank=True))
         time = max(self._now, constraint)
-        for bank in self.banks():
+        for bank in self._banks:
             bank.record_column(time, is_write=False)
         self._last_column_bus = time
         return time
@@ -267,12 +258,26 @@ class DRAMChannel:
     def _issue_refresh(self, command: DRAMCommand) -> float:
         time = max(
             self._now,
-            max(bank.earliest_precharge(self._now) for bank in self.banks()),
+            max(bank.earliest_precharge(self._now) for bank in self._banks),
         )
-        for bank in self.banks():
+        for bank in self._banks:
             bank.record_precharge(time)
             bank.last_activate = time + self.timing.t_rfc - self.timing.t_rc
         return time + self.timing.t_rfc
+
+    #: Per-kind scheduler, built once for the class rather than per command.
+    _ISSUERS = {
+        CommandType.ACT: _issue_activate,
+        CommandType.PRE: _issue_precharge,
+        CommandType.ACT_ALL: _issue_activate_all,
+        CommandType.PRE_ALL: _issue_precharge_all,
+        CommandType.RD: _issue_column,
+        CommandType.WR: _issue_column,
+        CommandType.MAC_ALL: _issue_mac_all,
+        CommandType.EWMUL: _issue_ewmul,
+        CommandType.AF: _issue_af,
+        CommandType.REF: _issue_refresh,
+    }
 
     # ------------------------------------------------------------------ throughput
 

@@ -27,18 +27,11 @@ def figure19_scalability(
 ) -> List[Dict[str, object]]:
     """Throughput and device utilisation versus device count."""
     rows: List[Dict[str, object]] = []
-    # One shared performance-model cache across device counts: the per-block
-    # simulation only depends on the channels assigned to a block, which
-    # repeats across many device counts.
-    reference_config = CentConfig(num_devices=max(device_counts),
-                                  context_samples=context_samples)
-    reference_system = CentSystem(reference_config, model)
+    # Block simulations repeat across device counts; the process-wide program
+    # memo under the performance model executes each distinct program once.
     for devices in device_counts:
         config = CentConfig(num_devices=devices, context_samples=context_samples)
         system = CentSystem(config, model)
-        # Reuse compiled/simulated blocks across device counts.
-        system.performance._cache = reference_system.performance._cache
-        system.simulator.performance = system.performance
         plan = plan_for_throughput(model, devices,
                                    context_length=prompt_tokens + decode_tokens)
         result = system.run_inference(prompt_tokens, decode_tokens, plan=plan,

@@ -81,20 +81,7 @@ class PIMChannel:
                 "PNM/CXL instructions are handled by the device model"
             )
         start = self.busy_until_ns
-        handler = {
-            Opcode.MAC_ABK: self._execute_mac_all_bank,
-            Opcode.EW_MUL: self._execute_elementwise_mul,
-            Opcode.AF: self._execute_activation,
-            Opcode.WR_SBK: self._execute_single_bank,
-            Opcode.RD_SBK: self._execute_single_bank,
-            Opcode.WR_ABK: self._execute_write_all_banks,
-            Opcode.COPY_BKGB: self._execute_copy_bank_gb,
-            Opcode.COPY_GBBK: self._execute_copy_bank_gb,
-            Opcode.WR_BIAS: self._execute_register_io,
-            Opcode.RD_MAC: self._execute_register_io,
-            Opcode.WR_GB: self._execute_write_global_buffer,
-        }[instruction.opcode]
-        end = handler(instruction)
+        end = self._HANDLERS[instruction.opcode](self, instruction)
         self.stats.record_instruction(instruction.opcode)
         self.busy_until_ns = max(self.busy_until_ns, end)
         return self.busy_until_ns - start
@@ -251,3 +238,18 @@ class PIMChannel:
         duration = instruction.op_size * self.timing.t_ccd_s
         self.stats.global_buffer_writes += instruction.op_size
         return start + duration
+
+    #: Per-opcode handler, built once for the class rather than per instruction.
+    _HANDLERS = {
+        Opcode.MAC_ABK: _execute_mac_all_bank,
+        Opcode.EW_MUL: _execute_elementwise_mul,
+        Opcode.AF: _execute_activation,
+        Opcode.WR_SBK: _execute_single_bank,
+        Opcode.RD_SBK: _execute_single_bank,
+        Opcode.WR_ABK: _execute_write_all_banks,
+        Opcode.COPY_BKGB: _execute_copy_bank_gb,
+        Opcode.COPY_GBBK: _execute_copy_bank_gb,
+        Opcode.WR_BIAS: _execute_register_io,
+        Opcode.RD_MAC: _execute_register_io,
+        Opcode.WR_GB: _execute_write_global_buffer,
+    }
