@@ -9,7 +9,8 @@ scale of every cluster study the repo can run.  Two traces:
   regime (short prompts, long decodes), where the event-horizon
   fast-forward advances whole decode windows in closed form;
 * a 10^3-request two-tenant closed-loop trace through the full cluster
-  control loop (routing, epochs, re-placement, parallel replicas).
+  control loop (routing, epochs, re-placement; replicas advance in
+  order).
 
 The headline ``sim_requests_per_s`` numbers are attached as ``extra_info``;
 the ``requests_per_s`` marker in ``benchmarks/compare_bench.py`` makes them

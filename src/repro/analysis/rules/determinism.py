@@ -16,7 +16,14 @@ Banned inside ``src/repro``:
   ``numpy.random.<fn>`` legacy global call, and ``default_rng()`` without
   an explicit seed;
 * environment reads — ``os.environ`` and ``os.getenv`` (configuration
-  enters through constructors, never ambiently).
+  enters through constructors, never ambiently);
+* host-dependent concurrency — ``concurrent.futures`` executors,
+  ``threading.Thread``, anything from ``multiprocessing``, and
+  ``os.cpu_count``.  Worker pools sized by the host make the order work
+  runs in (and the order shared caches fill) depend on the machine; the
+  simulator advances replicas one after another instead.  Locks
+  (``threading.Lock``/``RLock``) stay allowed: they make code safe for
+  callers that bring their own threads without scheduling anything.
 """
 
 from __future__ import annotations
@@ -51,17 +58,30 @@ _SEEDABLE = {
 # as an attribute access; only the function spelling needs a call entry.
 _ENV_READS = {"os.getenv"}
 
+#: Calls that start host-scheduled work or size it by the host's cores.
+_HOST_CONCURRENCY = {"threading.Thread", "os.cpu_count"}
+
+
+def _is_host_concurrency(resolved: str) -> bool:
+    """``_HOST_CONCURRENCY``, any ``multiprocessing`` call, or any
+    ``concurrent.futures`` executor (matched by name, so new executor
+    kinds are covered too)."""
+    return (resolved in _HOST_CONCURRENCY
+            or resolved.startswith("multiprocessing.")
+            or (resolved.startswith("concurrent.futures.")
+                and resolved.endswith("Executor")))
+
 
 @register
 class DeterminismRule(Rule):
     id = "determinism"
-    summary = ("no wall-clock reads, unseeded RNGs or os.environ in "
-               "simulator code")
+    summary = ("no wall-clock reads, unseeded RNGs, os.environ or "
+               "host-scheduled concurrency in simulator code")
     rationale = (
         "Deterministic replay is a headline guarantee: the same trace and "
         "seed must reproduce every timestamp bit-exactly. Wall clocks, the "
-        "process environment and global RNG state are ambient inputs that "
-        "silently break it.")
+        "process environment, global RNG state and host-sized worker pools "
+        "are ambient inputs that silently break it.")
 
     def check(self, module: Module) -> Iterable[Finding]:
         imports = ImportMap(module.tree)
@@ -91,6 +111,11 @@ class DeterminismRule(Rule):
                 module, node,
                 f"{resolved}() — environment reads make runs "
                 "machine-dependent; take the value as a parameter")
+        elif _is_host_concurrency(resolved):
+            yield self.finding(
+                module, node,
+                f"{resolved}() — host-scheduled concurrency makes run order "
+                "depend on the machine; advance work in a fixed order")
         elif resolved in _SEEDABLE:
             if not node.args and not node.keywords:
                 yield self.finding(

@@ -38,16 +38,17 @@ measured signals the serving engine already records:
   replica from scratch (arrival time still original).  Requests that have
   made no progress yet restart under both modes — they have no KV to move.
 
-``rebalance="off"`` (the default everywhere) bypasses this module entirely
-and runs the single-shot PR-2 path, bit-exactly; ``migration="restart"``
-reproduces the pre-live-migration closed loop bit-exactly.
+The open loop (``rebalance="off"`` with no control config, the default
+everywhere) runs through the same :class:`ClusterControlLoop` as one
+unbounded window: the whole merged stream is routed once against the
+uncorrected backlog model, every replica drains, and no epoch boundary is
+ever measured.  ``migration="restart"`` reproduces the pre-live-migration
+closed loop bit-exactly.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -109,16 +110,13 @@ class ControlConfig:
         and the rebalancer may act, every this many simulated seconds.
     rebalance:
         ``"epoch"`` re-places at epoch boundaries; ``"off"`` keeps the
-        initial placement (feedback routing still applies when enabled).
+        initial placement (feedback routing still applies).
     migration:
         ``"live"`` (default) swaps a dismantled replica's in-flight KV
         through host memory onto the new replica set, so requests resume
         at their original progress; ``"restart"`` re-runs them from
         scratch (the pre-live behaviour, kept bit-exact for regression
         comparisons).
-    routing_feedback:
-        Feed measured backlog/rate back into the router at every epoch
-        boundary.  ``False`` keeps the open-loop backlog model (ablation).
     hysteresis:
         A re-placement is applied only when its projected token gain
         exceeds ``(1 + hysteresis)`` times the migration cost.
@@ -133,24 +131,16 @@ class ControlConfig:
     max_epochs:
         Safety bound; a run still undrained after this many epochs is
         finished in one final unbounded segment (no further control).
-    parallel_replicas:
-        Advance independent replicas concurrently within each epoch
-        (replicas share nothing between control points).  Replicas that
-        share one cached engine advance sequentially on a single worker;
-        results are bit-identical either way, so this is purely a speed
-        knob.
     """
 
     epoch_s: float = 20.0
     rebalance: str = "epoch"
     migration: str = "live"
-    routing_feedback: bool = True
     hysteresis: float = 0.25
     min_epochs_between: int = 1
     lookahead_epochs: int = 2
     feedback_alpha: float = 0.5
     max_epochs: int = 10_000
-    parallel_replicas: bool = True
 
     def __post_init__(self) -> None:
         if self.epoch_s <= 0:
@@ -339,16 +329,17 @@ class _ReplicaRuntime:
 
 
 class ClusterControlLoop:
-    """Epoch-driven closed-loop executor over a :class:`ClusterEngine`.
+    """The one executor of every cluster run over a :class:`ClusterEngine`.
 
-    Owns the run: initial placement, per-epoch routing (with feedback),
-    segmented engine advancement, re-placement, migration, and the final
-    :class:`~repro.core.results.ClusterResult` aggregation.  Constructed by
-    ``ClusterEngine.run(rebalance=...)``; not normally instantiated
-    directly.
+    Owns the run: initial placement, per-window routing, segmented engine
+    advancement, re-placement, migration, and the final
+    :class:`~repro.core.results.ClusterResult` aggregation.  ``config=None``
+    is the open loop: a single unbounded window with no feedback, no
+    re-placement and no epoch timeline.  Constructed by
+    ``ClusterEngine.run``; not normally instantiated directly.
     """
 
-    def __init__(self, cluster, config: ControlConfig, *,
+    def __init__(self, cluster, config: Optional[ControlConfig], *,
                  telemetry: Optional[TraceRecorder] = None,
                  slo_monitor: Optional[SloMonitor] = None) -> None:
         # ``cluster`` is a repro.cluster.engine.ClusterEngine; not type-hinted
@@ -357,9 +348,9 @@ class ClusterControlLoop:
         self.config = config
         self.telemetry = telemetry
         # SLO rules read the per-epoch snapshots, so a monitor only makes
-        # sense on a traced run; arm the stock rules by default there (the
-        # TTFT rule targets the tightest tenant SLO in the pool).
-        if slo_monitor is None and telemetry is not None:
+        # sense on a traced closed-loop run; arm the stock rules by default
+        # there (the TTFT rule targets the tightest tenant SLO in the pool).
+        if slo_monitor is None and telemetry is not None and config is not None:
             slo_monitor = SloMonitor(default_rules(
                 ttft_slo_s=min((t.latency_slo_s for t in cluster.tenants),
                                default=None)))
@@ -411,40 +402,13 @@ class ClusterControlLoop:
         runtime.engine.extend(runtime.state, [query])
         runtime.feed.append((owner, index))
 
-    def _advance_all(self, live: Dict[int, "_ReplicaRuntime"],
+    @staticmethod
+    def _advance_all(live: Dict[int, "_ReplicaRuntime"],
                      until_s: Optional[float] = None) -> None:
-        """Advance every live replica to ``until_s`` (or fully drained).
-
-        Replicas share nothing between control points, so distinct engines
-        advance concurrently under ``parallel_replicas``.  Replicas that
-        share one cached :class:`ServingEngine` (same tenant-set/device
-        shape) stay on a single worker: the engine's lazily-filled cost
-        tables are the only mutable structure two states have in common,
-        and the shared :class:`PerformanceModel` cache below them is
-        lock-protected, so concurrent groups fill identical values and
-        every replica's trajectory is bit-identical to the sequential
-        order.
-        """
-        runtimes = list(live.values())
-        groups: Dict[int, List[_ReplicaRuntime]] = {}
-        if self.config.parallel_replicas and len(runtimes) > 1:
-            for runtime in runtimes:
-                groups.setdefault(id(runtime.engine), []).append(runtime)
-        if len(groups) <= 1:
-            for runtime in runtimes:
-                runtime.engine.advance(runtime.state, until_s=until_s)
-            return
-
-        def drain(group: List[_ReplicaRuntime]) -> None:
-            for runtime in group:
-                runtime.engine.advance(runtime.state, until_s=until_s)
-
-        workers = min(len(groups), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(drain, group)
-                       for group in groups.values()]
-            for future in futures:
-                future.result()
+        """Advance every live replica, in replica order, to ``until_s`` (or
+        fully drained)."""
+        for runtime in live.values():
+            runtime.engine.advance(runtime.state, until_s=until_s)
 
     # ------------------------------------------------------------------ run
 
@@ -460,7 +424,7 @@ class ClusterControlLoop:
             placer=placer,
             capability_tokens_per_s=cluster._group_tokens_per_s,
             link=cluster.config.link,
-        )
+        ) if config is not None else None
 
         telemetry = self.telemetry
         control_rec = (telemetry.scope("control")
@@ -476,13 +440,13 @@ class ClusterControlLoop:
         router = RouterState()
         sla_by_name = {t.name: t.latency_slo_s for t in tenants}
 
-        # The merged offered stream, in arrival order (ties: tenant order
-        # then trace order, so runs are deterministic).
+        # The merged offered stream, in arrival order.  The sort is stable,
+        # so ties keep tenant list order, then trace order.
         items: List[Tuple[Query, str, int]] = sorted(
             ((query, tenant.name, index)
              for tenant in tenants
              for index, query in enumerate(tenant.trace)),
-            key=lambda item: (item[0].arrival_time_s, item[1], item[2]),
+            key=lambda item: item[0].arrival_time_s,
         )
         position = 0
         #: Final attempt serving each (tenant, index): (runtime, request id).
@@ -495,7 +459,7 @@ class ClusterControlLoop:
         #: the observe-only demand forecast surfaced as the
         #: ``cluster.predicted_rate_qps`` gauge.
         predicted_qps = 0.0
-        last_rebalance_epoch = -config.min_epochs_between - 1
+        last_rebalance_epoch: Optional[int] = None
         num_rebalances = 0
         migration_stall_s = 0.0
         migration_stats = _MigrationStats()
@@ -507,18 +471,21 @@ class ClusterControlLoop:
 
         while position < len(items) or any(not rt.state.drained
                                            for rt in live.values()):
-            if epoch >= config.max_epochs:
-                # Safety valve: route everything still unrouted in one final
-                # window and drain without further control, so no offered
-                # request silently vanishes from the accounting.
+            if config is None or epoch >= config.max_epochs:
+                # One final unbounded window: route everything still
+                # unrouted and drain without further control.  The open
+                # loop is exactly this window at epoch 0; the closed loop
+                # reaches it at its safety bound, so no offered request
+                # silently vanishes from the accounting.
                 tail = items[position:]
                 position = len(items)
                 plan = cluster.scheduler.route_window(
                     tenants, placement, self._service_estimator(live),
                     stream=[(query, name) for query, name, _ in tail],
                     state=router,
-                    feedback=feedback if config.routing_feedback else None,
-                    window_start_s=epoch * config.epoch_s,
+                    feedback=feedback,
+                    window_start_s=(epoch * config.epoch_s
+                                    if config is not None else 0.0),
                     recorder=control_rec,
                 )
                 self._apply_plan(plan, [(q, n) for q, n, _ in tail],
@@ -550,7 +517,7 @@ class ClusterControlLoop:
             plan = cluster.scheduler.route_window(
                 tenants, placement, self._service_estimator(live),
                 stream=window, state=router,
-                feedback=feedback if config.routing_feedback else None,
+                feedback=feedback,
                 window_start_s=start_s,
                 recorder=control_rec,
             )
@@ -603,7 +570,9 @@ class ClusterControlLoop:
             work_left = (position < len(items)
                          or any(not rt.state.drained for rt in live.values()))
             if (config.rebalance == "epoch" and work_left
-                    and epoch - last_rebalance_epoch > config.min_epochs_between):
+                    and (last_rebalance_epoch is None
+                         or epoch - last_rebalance_epoch
+                         > config.min_epochs_between)):
                 demand = {
                     name: (backlog_tokens[name] + arrived_tokens[name])
                     / config.epoch_s
@@ -743,11 +712,14 @@ class ClusterControlLoop:
             index_queues.setdefault(id(query), deque()).append(index)
         for replica_id, assigned in plan.assignments.items():
             runtime = live[replica_id]
-            for owner, query in assigned:
+            # One batch per replica: ``assigned`` is in arrival order, so the
+            # requests get the ids and queue order per-query feeds would.
+            requests = runtime.engine.extend(
+                runtime.state, [query for _, query in assigned])
+            for (owner, query), request in zip(assigned, requests, strict=True):
                 index = index_queues[id(query)].popleft()
-                request_id = len(runtime.state.requests)
-                self._feed(runtime, owner, index, query)
-                final_attempt[(owner, index)] = (runtime, request_id)
+                runtime.feed.append((owner, index))
+                final_attempt[(owner, index)] = (runtime, request.request_id)
         for name, queries in plan.rejected.items():
             cap_rejected[name].extend(queries)
 
@@ -903,6 +875,8 @@ class ClusterControlLoop:
         tenants = cluster.tenants
         runs = {id(rt): rt.engine.snapshot(rt.state) for rt in all_runtimes}
 
+        # Re-attribute each request's final attempt to its tenant, in trace
+        # order.
         tenant_requests: Dict[str, List[ServingRequest]] = {t.name: [] for t in tenants}
         tenant_runtimes: Dict[str, List[_ReplicaRuntime]] = {t.name: [] for t in tenants}
         seen_runtimes: Dict[str, set] = {t.name: set() for t in tenants}
@@ -913,6 +887,8 @@ class ClusterControlLoop:
                 seen_runtimes[owner].add(id(runtime))
                 tenant_runtimes[owner].append(runtime)
 
+        # Requests refused at the cluster's admission cap never reached an
+        # engine; they join the tenant's result as rejected.
         for tenant in tenants:
             for query in cap_rejected[tenant.name]:
                 refused = ServingRequest(len(tenant_requests[tenant.name]), query)
@@ -935,9 +911,14 @@ class ClusterControlLoop:
                 tenant_requests[tenant.name],
                 model_name=tenant.model.name,
                 plan_name=" + ".join(plan_names) if plan_names else "unplaced",
+                # The tenant's own completion horizon: the engine clock only
+                # advances while requests run, so for a single tenant this
+                # equals the standalone engine's makespan exactly.
                 makespan_s=max((r.finish_time_s
                                 for r in tenant_requests[tenant.name]
                                 if r.finish_time_s is not None), default=0.0),
+                # Replica telemetry, summed over the replicas the tenant
+                # used; replicas time-shared with other tenants count fully.
                 prefill_time_s=sum(run.prefill_time_s for run in used),
                 decode_time_s=sum(run.decode_time_s for run in used),
                 decode_step_tokens=sum(run.decode_step_tokens for run in used),
@@ -961,7 +942,7 @@ class ClusterControlLoop:
                 t.name: t.offered_decode_tokens for t in tenants
             },
             busy_device_seconds=busy_device_seconds,
-            epoch_s=self.config.epoch_s,
+            epoch_s=self.config.epoch_s if self.config is not None else None,
             num_rebalances=num_rebalances,
             migration_stall_s=migration_stall_s,
             epoch_timeline=tuple(epoch_rows),

@@ -1,22 +1,19 @@
 """Multi-tenant cluster serving on one shared CXL-PIM device pool.
 
-``ClusterEngine`` composes the three cluster pieces — placement, routing,
-and the existing per-replica :class:`~repro.serving.ServingEngine` — into
-one run:
-
-1. a :class:`~repro.cluster.placement.ClusterPlacer` partitions (or
-   time-shares) the pool's devices into replicas;
-2. every replica becomes an independent :class:`~repro.core.system.CentSystem`
-   deployment of its device slice, served by an unmodified ``ServingEngine``
-   (the cluster layer never forks the iteration loop);
-3. a :class:`~repro.cluster.scheduler.ClusterScheduler` routes each arriving
-   request to one of its tenant's replicas, applying per-tenant admission;
-4. each replica replays its routed trace, and the per-request outcomes are
-   re-attributed to tenants and folded into one
-   :class:`~repro.core.results.ClusterResult` (one
-   :class:`~repro.core.results.ServingResult` per tenant, each judged
-   against that tenant's own SLA, plus pool-level goodput, fairness and
-   utilisation).
+``ClusterEngine`` holds what every cluster run shares — the tenants, the
+:class:`~repro.cluster.placement.ClusterPlacer` that partitions (or
+time-shares) the pool's devices into replicas, the capability probes that
+size them, the :class:`~repro.cluster.scheduler.ClusterScheduler` that
+routes each arriving request, and one memoised, unmodified
+:class:`~repro.serving.ServingEngine` per replica shape (the cluster layer
+never forks the iteration loop).  :meth:`ClusterEngine.run` validates its
+options and hands the run to :class:`~repro.cluster.control.
+ClusterControlLoop`, the one executor: the open loop is its single
+unbounded window, the closed loop its epoch-segmented run.  Either way the
+per-request outcomes are re-attributed to tenants and folded into one
+:class:`~repro.core.results.ClusterResult` (one
+:class:`~repro.core.results.ServingResult` per tenant, each judged against
+that tenant's own SLA, plus pool-level goodput, fairness and utilisation).
 
 A single-tenant cluster degenerates to exactly one replica spanning the
 whole pool, so its per-tenant result reproduces ``ServingEngine.run`` on
@@ -25,36 +22,22 @@ the same deployment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster.placement import ClusterPlacement, ClusterPlacer, ReplicaSpec
-from repro.cluster.scheduler import ClusterScheduler, RoutingPlan
+from repro.cluster.placement import ClusterPlacer, ReplicaSpec
+from repro.cluster.scheduler import ClusterScheduler
 from repro.cluster.tenant import TenantSpec, resolve_models
 from repro.core.config import CentConfig
-from repro.core.results import ClusterResult, ServingResult
+from repro.core.results import ClusterResult
 from repro.core.system import CentSystem
 from repro.models.config import ModelConfig
-from repro.serving.engine import EngineRun, ServingEngine, evict_to_bound
-from repro.serving.metrics import (
-    aggregate_serving_result,
-    merge_queue_depth_timelines,
-)
-from repro.serving.request import RequestState, ServingRequest
+from repro.serving.engine import ServingEngine, evict_to_bound
+# Unused here, but kept as a module attribute: perfbench's layer tracer
+# patches ``aggregate_serving_result`` in every cluster module by name.
+from repro.serving.metrics import aggregate_serving_result  # noqa: F401
 from repro.telemetry.recorder import TraceRecorder
-from repro.workloads.queries import Query
 
 __all__ = ["ClusterEngine"]
-
-
-@dataclass
-class _Replica:
-    """A placed replica bound to its serving engine (and its system)."""
-
-    spec: ReplicaSpec
-    engine: ServingEngine
-    #: Estimated sustained token rate, for the router's backlog model.
-    tokens_per_s: float = 0.0
 
 
 class ClusterEngine:
@@ -154,15 +137,6 @@ class ClusterEngine:
                 self._capability_cache[key] = 0.0
         return self._capability_cache[key]
 
-    # ------------------------------------------------------------------ build
-
-    def _build_replicas(self, placement: ClusterPlacement) -> List[_Replica]:
-        replicas = []
-        for spec in placement.replicas:
-            engine = self._engine_for(spec.tenant_names, spec.num_devices, spec.model)
-            replicas.append(_Replica(spec=spec, engine=engine))
-        return replicas
-
     def _group_tokens_per_s(self, names: Tuple[str, ...], devices: int) -> float:
         """Estimated sustained token rate of one replica of ``names``.
 
@@ -179,12 +153,6 @@ class ClusterEngine:
         tokens = sum(t.offered_tokens for t in members)
         queries = sum(len(t.trace) for t in members)
         return max(qps * tokens / queries, 1e-9)
-
-    def _estimate_rates(self, replicas: List[_Replica]) -> None:
-        """Estimate each replica's sustained token rate for the router."""
-        for replica in replicas:
-            replica.tokens_per_s = self._group_tokens_per_s(
-                replica.spec.tenant_names, replica.spec.num_devices)
 
     # ------------------------------------------------------------------ run
 
@@ -207,16 +175,20 @@ class ClusterEngine:
         warm-up included) are policy-independent and stay cached across
         runs.
 
-        ``rebalance="off"`` (default) is the open-loop single-shot path and
-        is bit-exact with the pre-closed-loop engine.  ``rebalance="epoch"``
-        — or an explicit ``control`` config — hands the run to the
-        epoch-driven :class:`~repro.cluster.control.ClusterControlLoop`:
-        backlog-feedback routing plus (unless the config disables it)
+        Every run executes in :class:`~repro.cluster.control.
+        ClusterControlLoop`.  ``rebalance="off"`` (default) with no
+        ``control`` is the open loop: its single unbounded window routes
+        the whole merged stream once against the uncorrected backlog model
+        and drains every replica.  ``rebalance="epoch"`` — or an explicit
+        ``control`` config — segments the run into epochs: backlog-feedback
+        routing plus (unless the config sets ``rebalance="off"``)
         observed-demand re-placement at epoch boundaries; ``epoch_s``
         overrides the control interval and ``migration`` selects what
         happens to a dismantled replica's in-flight requests (``"live"``,
         the default, swaps their KV through host memory so they resume at
         their original progress; ``"restart"`` re-runs them from scratch).
+        Both options only apply to the closed loop: passing either to an
+        open-loop run raises ``ValueError``.
 
         ``telemetry`` (a :class:`repro.telemetry.TraceRecorder`) records the
         run's full event stream: every replica's engine writes into its own
@@ -247,55 +219,28 @@ class ClusterEngine:
                 "pass either migration or an explicit control config, not "
                 "both (the config carries its own migration mode)"
             )
-        if migration is not None and rebalance == "off" and control is None:
-            raise ValueError(
-                "migration only applies to closed-loop runs; set "
-                "rebalance='epoch' (or pass a control config)"
-            )
-        if slo_monitor is not None and control is None and rebalance == "off":
+        open_loop = control is None and rebalance == "off"
+        for name, value in (("epoch_s", epoch_s), ("migration", migration)):
+            if value is not None and open_loop:
+                raise ValueError(
+                    f"{name} only applies to closed-loop runs; set "
+                    "rebalance='epoch' (or pass a control config)"
+                )
+        if slo_monitor is not None and open_loop:
             raise ValueError(
                 "slo_monitor needs the per-epoch metrics timeline; set "
                 "rebalance='epoch' (or pass a control config)"
             )
-        if control is not None or rebalance != "off":
-            if control is None:
-                kwargs = {"rebalance": rebalance}
-                if epoch_s is not None:
-                    kwargs["epoch_s"] = epoch_s
-                if migration is not None:
-                    kwargs["migration"] = migration
-                control = ControlConfig(**kwargs)
-            return ClusterControlLoop(
-                self, control, telemetry=telemetry,
-                slo_monitor=slo_monitor).run(placement_policy)
-
-        placer = (self.placer if placement_policy is None
-                  else self._make_placer(placement_policy))
-        placement = placer.place(self.tenants, self.config.num_devices)
-        replicas = self._build_replicas(placement)
-        self._estimate_rates(replicas)
-
-        by_id = {r.spec.replica_id: r for r in replicas}
-
-        def service_estimator(spec: ReplicaSpec, query: Query) -> float:
-            return query.total_context / by_id[spec.replica_id].tokens_per_s
-
-        router_rec = (telemetry.scope("control")
-                      if telemetry is not None else None)
-        routing = self.scheduler.route(self.tenants, placement,
-                                       service_estimator, recorder=router_rec)
-
-        runs: Dict[int, EngineRun] = {}
-        for replica in replicas:
-            trace = routing.trace_for(replica.spec.replica_id)
-            if trace:
-                runs[replica.spec.replica_id] = replica.engine.simulate(
-                    trace, sla_latency_s=self._replica_sla_s(replica.spec),
-                    telemetry=(telemetry.scope(
-                        f"replica-{replica.spec.replica_id}")
-                        if telemetry is not None else None))
-
-        return self._aggregate(placement, routing, runs, by_id)
+        if control is None and not open_loop:
+            kwargs = {"rebalance": rebalance}
+            if epoch_s is not None:
+                kwargs["epoch_s"] = epoch_s
+            if migration is not None:
+                kwargs["migration"] = migration
+            control = ControlConfig(**kwargs)
+        return ClusterControlLoop(
+            self, control, telemetry=telemetry,
+            slo_monitor=slo_monitor).run(placement_policy)
 
     def _replica_sla_s(self, spec: ReplicaSpec) -> Optional[float]:
         """The strictest member tenant's latency SLO, for the engine's
@@ -309,81 +254,3 @@ class ClusterEngine:
         slos = [by_name[name].latency_slo_s for name in spec.tenant_names]
         slos = [s for s in slos if s is not None]
         return min(slos) if slos else None
-
-    # ------------------------------------------------------------------ results
-
-    def _aggregate(
-        self,
-        placement: ClusterPlacement,
-        routing: RoutingPlan,
-        runs: Dict[int, EngineRun],
-        by_id: Dict[int, _Replica],
-    ) -> ClusterResult:
-        # Re-attribute each replica's per-request outcomes to tenants.
-        tenant_requests: Dict[str, List[ServingRequest]] = {t.name: [] for t in self.tenants}
-        tenant_replicas: Dict[str, List[int]] = {t.name: [] for t in self.tenants}
-        for replica_id, run in runs.items():
-            owners = [name for name, _ in routing.assignments[replica_id]]
-            for owner, request in zip(owners, run.requests, strict=True):
-                tenant_requests[owner].append(request)
-            for owner in sorted(set(owners)):
-                tenant_replicas[owner].append(replica_id)
-
-        # Requests refused at the cluster's admission cap never reached an
-        # engine; they join the tenant's result as rejected.
-        for tenant in self.tenants:
-            for query in routing.rejected[tenant.name]:
-                refused = ServingRequest(len(tenant_requests[tenant.name]), query)
-                refused.state = RequestState.REJECTED
-                tenant_requests[tenant.name].append(refused)
-
-        makespan = max((run.makespan_s for run in runs.values()), default=0.0)
-        busy_device_seconds = sum(
-            (run.prefill_time_s + run.decode_time_s) * by_id[rid].spec.num_devices
-            for rid, run in runs.items()
-        )
-
-        tenant_results: Dict[str, ServingResult] = {}
-        for tenant in self.tenants:
-            used = [runs[rid] for rid in tenant_replicas[tenant.name]]
-            plan_names = sorted({run.plan.name for run in used})
-            tenant_results[tenant.name] = aggregate_serving_result(
-                tenant_requests[tenant.name],
-                model_name=tenant.model.name,
-                plan_name=" + ".join(plan_names) if plan_names else "unplaced",
-                # The tenant's own completion horizon: the engine clock only
-                # advances while requests run, so for a single tenant this
-                # equals the standalone engine's makespan exactly.
-                makespan_s=max((r.finish_time_s for r in tenant_requests[tenant.name]
-                                if r.finish_time_s is not None), default=0.0),
-                # Replica telemetry, summed over the replicas the tenant
-                # used (peaks included, so peak and capacity stay a
-                # coherent pair); replicas time-shared with other tenants
-                # count fully.
-                prefill_time_s=sum(run.prefill_time_s for run in used),
-                decode_time_s=sum(run.decode_time_s for run in used),
-                decode_step_tokens=sum(run.decode_step_tokens for run in used),
-                peak_memory_bytes=sum(run.peak_memory_bytes for run in used),
-                memory_capacity_bytes=sum(run.memory_capacity_bytes for run in used),
-                sla_latency_s=tenant.latency_slo_s,
-                # Replica backlog samples, summed across concurrent
-                # replicas: the measured queue signal the router's backlog
-                # model can be closed against.
-                queue_depth_timeline=merge_queue_depth_timelines(
-                    [run.queue_depth_timeline for run in used]
-                ),
-            )
-
-        return ClusterResult(
-            placement_policy=placement.policy,
-            routing_policy=routing.policy,
-            pool_devices=placement.pool_devices,
-            devices_used=placement.devices_used,
-            makespan_s=makespan,
-            tenant_results=tenant_results,
-            tenant_devices=dict(placement.tenant_devices),
-            tenant_offered_decode_tokens={
-                t.name: t.offered_decode_tokens for t in self.tenants
-            },
-            busy_device_seconds=busy_device_seconds,
-        )

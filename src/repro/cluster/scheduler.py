@@ -15,16 +15,17 @@ Three policies:
 
 The router's view of replica load is a backlog model — each replica drains
 routed work at its estimated token rate — because a front-end cannot observe
-the engine's internal batch state.  On the open-loop :meth:`route` path that
-model runs uncorrected for the whole trace, and routing mistakes show up in
-the measured per-tenant latencies.  The closed-loop path
-(``repro.cluster.control``) instead routes one epoch at a time through
-:meth:`route_window`, carrying :class:`RouterState` across windows and
-re-anchoring the model at every epoch boundary to each replica's *measured*
-backlog and token rate (:class:`ReplicaFeedback`, distilled from the
-engine's ``queue_depth_timeline`` and per-epoch goodput) — so
-``least_outstanding`` and ``sla_deadline`` track reality under bursty
-arrivals instead of compounding the initial estimate's error.
+the engine's internal batch state.  The cluster control loop
+(``repro.cluster.control``) routes through :meth:`route_window`.  The open
+loop is one window over the whole trace, so the model runs uncorrected and
+routing mistakes show up in the measured per-tenant latencies.  The closed
+loop instead routes one epoch at a time, carrying :class:`RouterState`
+across windows and re-anchoring the model at every epoch boundary to each
+replica's *measured* backlog and token rate (:class:`ReplicaFeedback`,
+distilled from the engine's ``queue_depth_timeline`` and per-epoch
+goodput) — so ``least_outstanding`` and ``sla_deadline`` track reality
+under bursty arrivals instead of compounding the initial estimate's error.
+:meth:`route` is the one-window pass as a standalone call.
 """
 
 from __future__ import annotations
@@ -91,8 +92,7 @@ class RouterState:
     ``ready_s`` is the predicted instant each replica's routed backlog
     drains; ``outstanding`` the per-tenant min-heaps of predicted finish
     times behind the admission caps; ``robin_pos`` each tenant's round-robin
-    cursor.  :meth:`ClusterScheduler.route` builds a fresh one per call, so
-    the open-loop path is unchanged by the state being externalised.
+    cursor.  :meth:`ClusterScheduler.route` builds a fresh one per call.
     """
 
     ready_s: Dict[int, float] = field(default_factory=dict)
@@ -155,8 +155,9 @@ class ClusterScheduler:
     ) -> RoutingPlan:
         """Assign every request of every tenant to one replica (or reject).
 
-        The open-loop single-pass path: the whole merged arrival stream is
-        routed against the uncorrected backlog model.
+        One pass over the whole merged arrival stream (stable-sorted by
+        arrival, so ties keep tenant then trace order) against the
+        uncorrected backlog model — the open loop's routing.
         """
         stream = sorted(
             ((query, tenant.name) for tenant in tenants for query in tenant.trace),

@@ -179,10 +179,10 @@ class PerformanceModel:
             raise ValueError("cache capacity must be positive")
         self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[Tuple, BlockCost]" = OrderedDict()
-        # One model instance backs every engine of a CentSystem; replicas
-        # advancing on worker threads (cluster ``parallel_replicas``) hit
-        # this cache concurrently.  Simulation runs outside the lock — a
-        # racing duplicate computes the same deterministic value.
+        # One model instance backs every engine of a CentSystem; callers
+        # that advance engines on their own threads hit this cache
+        # concurrently.  Simulation runs outside the lock — a racing
+        # duplicate computes the same deterministic value.
         self._cache_lock = threading.Lock()
         self._pnm_latency = PnmLatencyModel(
             clock_ghz=config.pnm_clock_ghz, instances=config.pnm_units

@@ -93,9 +93,8 @@ class TraceEvent:
 class ScopedRecorder:
     """Event sink for one engine run (one replica, or the control plane).
 
-    Scopes are single-writer: the cluster's ``parallel_replicas`` executor
-    advances each replica's engine on its own thread, and because every
-    replica owns a distinct scope no recording path needs a lock.
+    Scopes are single-writer: every replica's engine (and the control
+    plane) records into its own scope, so no recording path needs a lock.
 
     ``now_s`` mirrors the owning engine's clock so passive emitters that
     don't carry timestamps of their own (the KV allocator) can stamp their

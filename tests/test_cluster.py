@@ -3,8 +3,10 @@
 import pytest
 
 from repro.cluster import (
+    ClusterEngine,
     ClusterPlacer,
     ClusterScheduler,
+    ControlConfig,
     SlaClass,
     TenantSpec,
     min_feasible_devices,
@@ -220,24 +222,26 @@ class TestScheduler:
 
 
 class TestClusterEngine:
-    def test_single_tenant_matches_serving_engine(self, small_model):
+    @pytest.mark.parametrize("admission", ["reserve", "paged"])
+    @pytest.mark.parametrize("epoch_s", [None, 0.05, 0.5],
+                             ids=["open", "epoch-0.05", "epoch-0.5"])
+    def test_single_tenant_matches_serving_engine(self, small_model, epoch_s,
+                                                  admission):
         """Acceptance: a single-tenant cluster run reproduces
-        ``ServingEngine.run`` on the same pool within 1%."""
+        ``ServingEngine.run`` on the same pool exactly, open loop or epoch
+        segmented."""
         config = CentConfig(num_devices=4, context_samples=2)
         system = CentSystem(config, small_model)
         trace = with_arrivals(sharegpt_like_queries(50, seed=5),
                               poisson_arrivals(50, 40.0, seed=5))
-        solo = ServingEngine(system).run(trace, sla_latency_s=2.0)
+        solo = ServingEngine(system, admission=admission).run(
+            trace, sla_latency_s=2.0)
+        control = (None if epoch_s is None
+                   else ControlConfig(epoch_s=epoch_s, rebalance="off"))
         cluster = system.serve_cluster(
-            [TenantSpec("only", trace=trace, sla_latency_s=2.0)])
-        tenant = cluster.tenant_results["only"]
-        assert tenant.num_completed == solo.num_completed
-        assert tenant.makespan_s == pytest.approx(solo.makespan_s, rel=0.01)
-        assert tenant.goodput_tokens_per_s == pytest.approx(
-            solo.goodput_tokens_per_s, rel=0.01)
-        assert tenant.ttft.p99_s == pytest.approx(solo.ttft.p99_s, rel=0.01)
-        assert tenant.query_latency.p99_s == pytest.approx(
-            solo.query_latency.p99_s, rel=0.01)
+            [TenantSpec("only", trace=trace, sla_latency_s=2.0)],
+            control=control, admission=admission)
+        assert cluster.tenant_results["only"] == solo
 
     def test_two_tenants_with_default_model(self, small_model, pool_config):
         system = CentSystem(pool_config, small_model)
@@ -293,6 +297,49 @@ class TestClusterEngine:
         tenant = make_tenant("dup", count=2)
         with pytest.raises(ValueError):
             system.serve_cluster([tenant, tenant])
+
+
+class TestOpenLoopIsOneUnboundedEpoch:
+    """Metamorphic relation: the open loop equals a closed loop whose single
+    epoch outlasts the run, with re-placement off."""
+
+    @staticmethod
+    def assert_same_run(engine):
+        open_loop = engine.run()
+        one_epoch = engine.run(
+            control=ControlConfig(epoch_s=1e9, rebalance="off"))
+        assert open_loop.tenant_results == one_epoch.tenant_results
+        assert open_loop.makespan_s == one_epoch.makespan_s
+        assert open_loop.busy_device_seconds == one_epoch.busy_device_seconds
+        assert open_loop.epoch_s is None and open_loop.epoch_timeline == ()
+        assert len(one_epoch.epoch_timeline) == 1
+
+    @pytest.mark.parametrize("routing_policy",
+                             ["round_robin", "least_outstanding"])
+    def test_tenant_spread_over_replicas(self, small_model, pool_config,
+                                         routing_policy):
+        engine = ClusterEngine(
+            pool_config,
+            [make_tenant("t", count=30, rate=200.0, seed=3, model=small_model,
+                         sla_latency_s=5.0)],
+            routing_policy=routing_policy, max_replica_devices=2,
+            context_step=512)
+        assert len(engine.placer.place(engine.tenants,
+                                       pool_config.num_devices).replicas) > 1
+        self.assert_same_run(engine)
+
+    def test_shared_replica_with_tied_arrivals(self, small_model, pool_config):
+        """Tenants listed out of name order, all arriving at t=0 on one
+        time-shared replica: ties resolve by tenant list position."""
+        z = TenantSpec("z", model=small_model, sla_latency_s=10.0,
+                       trace=[Query(512, 64, arrival_time_s=0.0)
+                              for _ in range(6)])
+        a = TenantSpec("a", model=small_model, sla_latency_s=10.0,
+                       trace=[Query(64, 256, arrival_time_s=0.0)
+                              for _ in range(6)])
+        engine = ClusterEngine(pool_config, [z, a], share_replicas=True,
+                               context_step=512)
+        self.assert_same_run(engine)
 
 
 class TestClusterResultMetrics:

@@ -52,7 +52,6 @@ class TestControlConfig:
         config = ControlConfig()
         assert config.rebalance == "epoch"
         assert config.migration == "live"
-        assert config.routing_feedback
         assert MIGRATION_MODES == ("restart", "live")
 
     @pytest.mark.parametrize("kwargs", [
@@ -728,8 +727,7 @@ class TestClosedLoop:
                                       context_step=512)
         assert result.epoch_s == 0.5
         assert result.num_rebalances >= 0
-        control = ControlConfig(epoch_s=0.5, rebalance="off",
-                                routing_feedback=True)
+        control = ControlConfig(epoch_s=0.5, rebalance="off")
         ablation = system.serve_cluster(tenants, control=control,
                                         context_step=512)
         assert ablation.num_rebalances == 0
@@ -791,6 +789,20 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="not both"):
             engine.run(rebalance="epoch", epoch_s=1.0,
                        control=ControlConfig())
+
+    def test_epoch_s_on_the_open_loop_is_rejected(self, small_model):
+        """Regression: ``epoch_s`` without the closed loop used to be
+        ignored silently (no epochs ran, ``epoch_s`` reported as None)."""
+        tenant = TenantSpec("t", model=small_model, trace=timed_trace(3, 5.0))
+        engine = ClusterEngine(CentConfig(num_devices=2, context_samples=2),
+                               [tenant], context_step=512)
+        with pytest.raises(ValueError, match="epoch_s only applies"):
+            engine.run(epoch_s=0.5)
+        system = CentSystem(CentConfig(num_devices=2, context_samples=2),
+                            small_model)
+        with pytest.raises(ValueError, match="epoch_s only applies"):
+            system.serve_cluster([tenant], epoch_s=0.5, context_step=512)
+        assert engine.run(rebalance="epoch", epoch_s=0.5).epoch_s == 0.5
 
     def test_cluster_result_rebalance_validation(self):
         from repro.core.results import ClusterResult

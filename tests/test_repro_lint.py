@@ -90,6 +90,38 @@ class TestDeterminism:
             """)
         assert result.findings == []
 
+    def test_host_concurrency_fires(self, tmp_path):
+        result = lint_snippet(tmp_path, "control.py", """\
+            import os
+            import threading
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+            def advance_all(replicas):
+                with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+                    pool.map(lambda r: r.advance(), replicas)
+                ProcessPoolExecutor()
+                threading.Thread(target=print).start()
+                multiprocessing.Pool(2)
+            """)
+        assert rule_ids(result) == ["determinism"] * 5
+
+    def test_lock_near_miss_is_silent(self, tmp_path):
+        result = lint_snippet(tmp_path, "performance.py", """\
+            import threading
+
+            class Cache:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._rlock = threading.RLock()
+                    self.entries = {}
+
+                def get(self, key):
+                    with self._lock:
+                        return self.entries.get(key)
+            """)
+        assert result.findings == []
+
     def test_engine_clock_arithmetic_is_silent(self, tmp_path):
         result = lint_snippet(tmp_path, "mod.py", """\
             def advance(clock_s, step_s):
@@ -514,10 +546,22 @@ class TestRealTree:
 
     def test_reverting_sorted_set_fix_fires(self, tmp_path):
         target = _mutated(
-            tmp_path, SRC / "cluster" / "engine.py", "cluster/engine.py",
-            "for owner in sorted(set(owners)):",
-            "for owner in set(owners):")
+            tmp_path, SRC / "cluster" / "control.py", "cluster/control.py",
+            "plan_names = sorted({run.plan.name for run in used})",
+            "plan_names = list({run.plan.name for run in used})")
         assert "no-set-iteration" in rule_ids(lint_paths([target]))
+
+    def test_restoring_threaded_replicas_fires(self, tmp_path):
+        target = _mutated(
+            tmp_path, SRC / "cluster" / "control.py", "cluster/control.py",
+            "        for runtime in live.values():\n"
+            "            runtime.engine.advance(runtime.state, until_s=until_s)\n",
+            "        from concurrent.futures import ThreadPoolExecutor\n"
+            "        with ThreadPoolExecutor() as pool:\n"
+            "            for runtime in live.values():\n"
+            "                pool.submit(runtime.engine.advance, runtime.state,\n"
+            "                            until_s=until_s)\n")
+        assert "determinism" in rule_ids(lint_paths([target]))
 
     def test_reverting_iteration_fold_fix_fires(self, tmp_path):
         target = _mutated(
