@@ -8,6 +8,7 @@ Importing this package registers every rule with
 from repro.analysis.rules import (  # noqa: F401  (import registers rules)
     determinism,
     float_fold,
+    function_length,
     set_iteration,
     slots_discipline,
     telemetry_guard,
@@ -17,6 +18,7 @@ from repro.analysis.rules import (  # noqa: F401  (import registers rules)
 __all__ = [
     "determinism",
     "float_fold",
+    "function_length",
     "set_iteration",
     "slots_discipline",
     "telemetry_guard",

@@ -20,7 +20,6 @@ iteration pricing in ``repro.core.iteration``.
 from repro.core.results import LatencyStats, ServingResult, percentile
 from repro.serving.engine import (
     ADMISSION_MODES,
-    EngineMeasurements,
     EngineRun,
     EngineState,
     KvMigration,
@@ -36,7 +35,6 @@ from repro.serving.request import RequestState, ServingRequest
 
 __all__ = [
     "ADMISSION_MODES",
-    "EngineMeasurements",
     "EngineRun",
     "EngineState",
     "KvMigration",

@@ -20,10 +20,10 @@ Design rules (see CONTRIBUTING "Instrumenting a subsystem"):
   in one closed-form step) and the scalar reference loop (which walks the
   same window one iteration at a time) flush **identical** spans.  This is
   what keeps the scalar/vectorized trace-equivalence test honest.
-* **Record each fact once.**  ``EngineState.preemption_log`` and
-  ``queue_depth_timeline`` become views over the event stream when a
-  recorder is attached (`serving.preempt` events / the scope's queue
-  signal); the engine never double-writes.
+* **Record each fact once.**  The engine state's queue-depth timeline
+  *is* the scope's ``queue_signal`` list (bound once at
+  ``ServingEngine.begin``), and its ``preemption_log`` is a plain list
+  beside the ``serving.preempt`` events; nothing is derived or copied.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["ScopedRecorder", "TraceEvent", "TraceRecorder"]
-
-#: Event names whose ``(ts_s, request_id)`` pairs reconstruct the legacy
-#: ``preemption_log`` exactly (one event per eviction, full or partial).
-PREEMPTION_EVENT = "serving.preempt"
 
 
 class TraceEvent:
@@ -102,21 +98,19 @@ class ScopedRecorder:
     """
 
     __slots__ = ("session", "name", "pid", "events", "queue_signal",
-                 "now_s", "_open_window", "_preempt_cache", "_preempt_seen")
+                 "now_s", "_open_window")
 
     def __init__(self, session: "TraceRecorder", name: str, pid: int) -> None:
         self.session = session
         self.name = name
         self.pid = pid
         self.events: List[TraceEvent] = []
-        #: ``(ts_s, queued, running)`` samples — the queue-depth timeline
-        #: lives here (and only here) when tracing is on.
+        #: ``(ts_s, queued, running)`` samples: the traced engine state's
+        #: ``queue_depth_timeline`` is this very list.
         self.queue_signal: List[Tuple[float, int, int]] = []
         self.now_s = 0.0
         # Open coalescing window: [kind, key, start_s, end_s, steps, tokens].
         self._open_window: Optional[list] = None
-        self._preempt_cache: List[Tuple[float, int]] = []
-        self._preempt_seen = 0
 
     # ------------------------------------------------------------------ emit
 
@@ -193,22 +187,6 @@ class ScopedRecorder:
         """Flush the open window span, if any (end of run / export time)."""
         if self._open_window is not None:
             self._flush_window()
-
-    # ------------------------------------------------------------ derived views
-
-    def preemption_view(self) -> List[Tuple[float, int]]:
-        """``(ts_s, request_id)`` per eviction — the legacy
-        ``preemption_log``, derived from the event stream (cached by event
-        count, so repeated reads stay O(new events))."""
-        events = self.events
-        if self._preempt_seen < len(events):
-            for index in range(self._preempt_seen, len(events)):
-                record = events[index]
-                if record.name == PREEMPTION_EVENT:
-                    self._preempt_cache.append((record.ts_s,
-                                                record.request_id))
-            self._preempt_seen = len(events)
-        return self._preempt_cache
 
 
 class TraceRecorder:

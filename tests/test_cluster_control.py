@@ -20,7 +20,9 @@ from repro.core.system import CentSystem
 from repro.evaluation import closed_loop_study
 from repro.models.config import ModelConfig
 from repro.serving import RequestState, ServingEngine
+from repro.telemetry import TraceRecorder
 from repro.workloads import (
+    Query,
     bursty_arrivals,
     poisson_arrivals,
     sharegpt_like_queries,
@@ -381,6 +383,43 @@ class TestSegmentedEngine:
         state = engine.begin([], planning_trace=short)
         with pytest.raises(ValueError, match="planning_trace"):
             engine.extend(state, timed_trace(1, 5.0, max_context=2048))
+
+    @staticmethod
+    def footprint(state, recorder):
+        """What a refused call must leave unchanged."""
+        names = [event.name for event in recorder.scopes[0].events]
+        return (len(state.requests), state.columns.size, list(state.pending),
+                list(state.preempted), names.count("request.queued"),
+                names.count("request.migrate_in"))
+
+    @pytest.mark.parametrize("admission", ["reserve", "paged"])
+    def test_refused_extend_leaves_no_orphans(self, system, admission):
+        """One unplanned query refuses its whole batch before any request
+        of it is created, so its valid neighbour is not silently lost."""
+        engine = ServingEngine(system, context_step=512, admission=admission)
+        recorder = TraceRecorder()
+        state = engine.begin([Query(100, 50)], telemetry=recorder)
+        before = self.footprint(state, recorder)
+        with pytest.raises(ValueError, match="planned context 150"):
+            engine.extend(state, [Query(100, 50, arrival_time_s=0.1),
+                                  Query(1000, 50, arrival_time_s=0.2)])
+        assert self.footprint(state, recorder) == before
+        run = engine.advance(state)
+        assert [r.state for r in run.requests] == [RequestState.FINISHED]
+
+    @pytest.mark.parametrize("admission", ["reserve", "paged"])
+    def test_refused_migrate_in_leaves_no_orphans(self, system, admission):
+        engine = ServingEngine(system, context_step=512, admission=admission)
+        source = engine.begin([Query(1000, 50)])
+        moved = engine.migrate_out(source, source.requests[0], now_s=0.0)
+        recorder = TraceRecorder()
+        state = engine.begin([Query(100, 50)], telemetry=recorder)
+        before = self.footprint(state, recorder)
+        with pytest.raises(ValueError, match="planned context 150"):
+            engine.migrate_in(state, moved, now_s=0.0)
+        assert self.footprint(state, recorder) == before
+        run = engine.advance(state)
+        assert [r.state for r in run.requests] == [RequestState.FINISHED]
 
     def test_begin_empty_without_planning_trace_raises(self, system):
         engine = ServingEngine(system, context_step=512)

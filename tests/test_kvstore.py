@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.config import CentConfig
@@ -102,7 +103,8 @@ class TestBlockPool:
         for admission in ("reserve", "paged"):
             engine = ServingEngine(system, memory_capacity_bytes=capacity,
                                    admission=admission)
-            assert engine._is_servable(query, budget), admission
+            totals = np.array([query.total_context], dtype=np.int64)
+            assert engine._servable_mask(totals, budget)[0], admission
 
     def test_allocate_release_bounds(self):
         pool = BlockPool(budget_bytes=480, bytes_per_token=10, block_tokens=16)

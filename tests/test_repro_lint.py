@@ -408,6 +408,43 @@ class TestUnitSuffix:
 
 
 # ---------------------------------------------------------------------------
+# function-length
+# ---------------------------------------------------------------------------
+
+
+def function_spanning(lines: int) -> str:
+    """Source of one function exactly ``lines`` lines long, ``def`` included."""
+    body = "".join(f"    x{i} = {i}\n" for i in range(lines - 2))
+    return f"def f():\n{body}    return 0\n"
+
+
+class TestFunctionLength:
+    def test_151_line_function_fires(self, tmp_path):
+        result = lint_snippet(tmp_path, "serving/engine.py",
+                              function_spanning(151))
+        assert rule_ids(result) == ["function-length"]
+        assert "151 lines" in result.findings[0].message
+
+    def test_150_line_near_miss_is_silent(self, tmp_path):
+        result = lint_snippet(tmp_path, "serving/engine.py",
+                              function_spanning(150))
+        assert result.findings == []
+
+    def test_nested_function_counts_on_its_own(self, tmp_path):
+        inner = textwrap.indent(function_spanning(151), "    ")
+        result = lint_snippet(tmp_path, "mod.py",
+                              "def outer():\n" + inner + "    return f\n")
+        assert rule_ids(result) == ["function-length"] * 2
+
+    def test_suppression_above_def(self, tmp_path):
+        result = lint_snippet(
+            tmp_path, "mod.py",
+            "# repro-lint: ignore[function-length]\n" + function_spanning(151))
+        assert result.findings == []
+        assert len(result.suppressed) == 1
+
+
+# ---------------------------------------------------------------------------
 # suppressions, baseline, CLI
 # ---------------------------------------------------------------------------
 
@@ -562,6 +599,12 @@ class TestRealTree:
             "                pool.submit(runtime.engine.advance, runtime.state,\n"
             "                            until_s=until_s)\n")
         assert "determinism" in rule_ids(lint_paths([target]))
+
+    def test_dropping_control_loop_length_waiver_fires(self, tmp_path):
+        target = _mutated(
+            tmp_path, SRC / "cluster" / "control.py", "cluster/control.py",
+            "    # repro-lint: ignore[function-length]\n", "")
+        assert "function-length" in rule_ids(lint_paths([target]))
 
     def test_reverting_iteration_fold_fix_fires(self, tmp_path):
         target = _mutated(

@@ -156,7 +156,7 @@ class TestSetupCache:
         trace = fixed_queries(4, prompt_tokens=128, decode_tokens=64)
         engine.estimated_capacity_qps(trace)
         assert len(engine._setup_cache) == 1
-        (plan, cost, slots), = engine._setup_cache.values()
+        (plan, cost, slots, context), = engine._setup_cache.values()
         warmed_grid = dict(cost._grid_ns)
         assert warmed_grid  # the estimate priced at least one grid point
         result = engine.run(trace)

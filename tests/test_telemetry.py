@@ -195,15 +195,6 @@ class TestRecorder:
         scalar.flush()
         assert ff.events == scalar.events
 
-    def test_preemption_view_derives_from_events(self):
-        scope = TraceRecorder().scope("engine")
-        scope.event("serving.preempt", 1.0, 4, kind="full")
-        scope.event("request.resume", 2.0, 4, via="swap")
-        scope.event("serving.preempt", 3.0, 9, kind="partial")
-        assert scope.preemption_view() == [(1.0, 4), (3.0, 9)]
-        scope.event("serving.preempt", 4.0, 4, kind="full")
-        assert scope.preemption_view() == [(1.0, 4), (3.0, 9), (4.0, 4)]
-
     def test_trace_event_equality_covers_args(self):
         a = TraceEvent("x", 1.0, request_id=3, args={"k": 1})
         b = TraceEvent("x", 1.0, request_id=3, args={"k": 1})
@@ -292,10 +283,9 @@ class TestTraceEquivalence:
         assert list(traced.queue_depth_timeline) \
             == list(plain.queue_depth_timeline)
         assert list(traced.preemption_log) == list(plain.preemption_log)
-        # And the views really are the recorder's storage, not copies.
+        # And the timeline really is the recorder's storage, not a copy.
         scope = recorder.scopes[0]
         assert traced.queue_depth_timeline is scope.queue_signal
-        assert traced.preemption_log == scope.preemption_view()
 
 
 # -------------------------------------------------------------------- export
