@@ -220,10 +220,6 @@ class ServingResult:
     #: Total time preempted requests spent off the device (eviction to
     #: decode-ready), summed over requests.
     preemption_stall_time_s: float = 0.0
-    #: Block-granular (partial) evictions among ``num_preemptions``: only
-    #: the victim's coldest prefix blocks were staged out, the rest stayed
-    #: resident (``repro.kvstore`` with ``preemption_partial_blocks``).
-    num_partial_evictions: int = 0
     #: Requests this engine received mid-flight through live KV migration,
     #: and the host-staged KV bytes that travelled with them.
     num_migrated_in: int = 0
@@ -256,8 +252,7 @@ class ServingResult:
         if (self.swap_time_s < 0 or self.recompute_tokens < 0
                 or self.preemption_stall_time_s < 0):
             raise ValueError("preemption costs must be non-negative")
-        if (self.num_partial_evictions < 0 or self.num_migrated_in < 0
-                or self.migrated_kv_bytes < 0):
+        if self.num_migrated_in < 0 or self.migrated_kv_bytes < 0:
             raise ValueError("migration counters must be non-negative")
         if (self.num_prefix_lookups < 0 or self.num_prefix_hits < 0
                 or self.prefix_hit_tokens < 0 or self.num_cow_blocks < 0):
@@ -387,8 +382,6 @@ class ServingResult:
         registry.set_counter("serving.completed", self.num_completed)
         registry.set_counter("serving.rejected", self.num_rejected)
         registry.set_counter("serving.preemptions", self.num_preemptions)
-        registry.set_counter("serving.partial_evictions",
-                             self.num_partial_evictions)
         registry.set_counter("serving.swap_outs", self.num_swap_outs)
         registry.set_counter("serving.swap_ins", self.num_swap_ins)
         registry.set_counter("serving.recompute_tokens", self.recompute_tokens)
@@ -608,11 +601,6 @@ class ClusterResult:
         """Pool-wide time requests spent evicted, summed over requests."""
         return sum(r.preemption_stall_time_s for r in self.tenant_results.values())
 
-    @property
-    def total_partial_evictions(self) -> int:
-        """Pool-wide block-granular evictions, across all tenants."""
-        return sum(r.num_partial_evictions for r in self.tenant_results.values())
-
     # ------------------------------------------------------------------ telemetry
 
     @property
@@ -629,8 +617,6 @@ class ClusterResult:
         registry.set_counter("serving.rejected",
                              sum(r.num_rejected for r in tenants))
         registry.set_counter("serving.preemptions", self.total_preemptions)
-        registry.set_counter("serving.partial_evictions",
-                             self.total_partial_evictions)
         registry.set_gauge("serving.swap_time_s", self.total_swap_time_s)
         registry.set_gauge("serving.preemption_stall_s",
                            self.total_preemption_stall_s)

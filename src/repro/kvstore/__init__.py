@@ -7,14 +7,10 @@ engine's ``admission="paged"`` mode:
   into fixed-size token blocks (sized from
   :meth:`~repro.models.memory.ModelMemoryProfile.kv_cache_bytes_per_token`,
   at the same effective capacity the reserve path's
-  ``kv_occupancy``-discounted reservations assume), with a host-staging
-  ledger (``swap_out`` / ``swap_in`` / ``drop_swapped``) for
-  block-granular swap;
+  ``kv_occupancy``-discounted reservations assume);
 * :class:`KvAllocator` — grows each request's block allocation as its
-  context advances through decode, releases it on completion or
-  preemption, and supports partial residency: ``evict_blocks`` stages an
-  owner's coldest prefix blocks to host memory and ``readmit`` brings
-  them back all-or-nothing;
+  context advances through decode and releases it on completion or
+  preemption;
 * :class:`PrefixChain` — a hash-identified shared prefix resident in the
   pool with a refcount of its readers: requests with a matching prefix
   hash *attach* (booking only their suffix blocks plus a copy-on-write
@@ -28,10 +24,8 @@ engine's ``admission="paged"`` mode:
   two restore paths: ``swap`` (KV bytes staged out and back over the CXL
   links, priced by :func:`kv_swap_time_s`) and ``recompute`` (the victim's
   context is re-prefilled through the normal
-  :class:`~repro.core.iteration.IterationCostModel` path); with
-  ``partial_blocks=N`` a swap eviction takes only the victim's N coldest
-  prefix blocks, so the restore transfer shrinks from the whole context
-  to the staged blocks.
+  :class:`~repro.core.iteration.IterationCostModel` path).  Eviction is
+  all-or-nothing, as in vLLM: a victim gives up its whole allocation.
 
 The serving engine (``repro.serving.engine``) owns the event loop; this
 package owns the bookkeeping and the policy decisions, so they can be unit

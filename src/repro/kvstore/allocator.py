@@ -5,12 +5,6 @@ iteration: a request allocates blocks for its prompt at admission, grows by
 one token per decode step (a new block only when it crosses a block
 boundary), and releases everything on completion or preemption.
 
-Swap is block-granular: :meth:`evict_blocks` stages an owner's coldest
-prefix blocks to host memory (the owner stays *partially resident* — its
-remaining blocks keep their device residency), and :meth:`readmit` brings
-the staged blocks back all-or-nothing, so a failed readmission under pool
-pressure never strands a half-granted allocation.
-
 **Shared prefixes.**  :meth:`allocate` takes an optional prefix key: on a
 cache hit the owner *attaches* to the resident
 :class:`~repro.kvstore.block_pool.PrefixChain` instead of allocating the
@@ -24,23 +18,22 @@ attaches.  :meth:`release` with ``keep_prefix=True`` lets a preempted
 owner keep its chain reference — a parked victim pins its prefix, so a hot
 shared prefix is never reclaimed underneath a restore.  Unreferenced
 chains stay cached until :meth:`evict_prefix` (the engine's joint eviction
-ranking) or the internal coldest-first reclaim that backs admission and
-readmission under pool pressure.  The per-owner invariant
+ranking) or the internal coldest-first reclaim that backs admission under
+pool pressure.  The per-owner invariant
 ``holds_blocks(owner) == pool.blocks_for(holds_tokens(owner))`` holds with
 or without sharing — attached owners count their chain's full shared
 blocks — which is what keeps the vectorized fast-forward's closed-form
 block demand exact over shared allocations.
 
 With a :class:`~repro.telemetry.ScopedRecorder` attached the allocator
-emits ``kv.*`` events for its *bounded* operations — allocation grants,
-releases, block-granular evictions and readmissions, plus the prefix
-lifecycle (``kv.prefix_hit``, ``kv.cow``, ``kv.prefix_register``,
-``kv.prefix_evict``) — stamped with the engine clock the owner mirrors
-into ``recorder.now_s``.  Per-step growth (:meth:`grow` /
-:meth:`grow_many`) is deliberately silent: those run once per decode token
-(and once per fast-forwarded window on the vectorized path), so recording
-them would both flood the trace and break the scalar/vectorized
-stream-equivalence contract.
+emits ``kv.*`` events for its *bounded* operations — allocation grants
+and releases, plus the prefix lifecycle (``kv.prefix_hit``, ``kv.cow``,
+``kv.prefix_register``, ``kv.prefix_evict``) — stamped with the engine
+clock the owner mirrors into ``recorder.now_s``.  Per-step growth
+(:meth:`grow` / :meth:`grow_many`) is deliberately silent: those run once
+per decode token (and once per fast-forwarded window on the vectorized
+path), so recording them would both flood the trace and break the
+scalar/vectorized stream-equivalence contract.
 """
 
 from __future__ import annotations
@@ -67,8 +60,6 @@ class KvAllocator:
         self._tokens: Dict[Hashable, int] = {}
         #: Private (unshared) device-resident blocks per owner.
         self._blocks: Dict[Hashable, int] = {}
-        #: Blocks each owner currently has staged in host memory.
-        self._swapped: Dict[Hashable, int] = {}
         #: Chain key each owner is attached to (holds one chain reference);
         #: survives a ``keep_prefix`` release so parked victims pin their
         #: prefix across preemption.
@@ -80,9 +71,9 @@ class KvAllocator:
         return self._tokens.get(owner, 0)
 
     def holds_blocks(self, owner: Hashable) -> int:
-        """Blocks the owner's allocation logically covers (private resident
-        + host-staged + full blocks read from its shared prefix chain)."""
-        blocks = self._blocks.get(owner, 0) + self._swapped.get(owner, 0)
+        """Blocks the owner's allocation logically covers (private blocks
+        + full blocks read from its shared prefix chain)."""
+        blocks = self._blocks.get(owner, 0)
         key = self._shared.get(owner)
         if key is not None:
             chain = self.pool.prefix_chains[key]
@@ -92,10 +83,6 @@ class KvAllocator:
     def holds_resident_blocks(self, owner: Hashable) -> int:
         """Blocks the owner currently has on device."""
         return self._blocks.get(owner, 0)
-
-    def holds_swapped_blocks(self, owner: Hashable) -> int:
-        """Blocks the owner currently has staged in host memory."""
-        return self._swapped.get(owner, 0)
 
     def shared_key(self, owner: Hashable) -> Optional[Hashable]:
         """Chain key the owner is attached to, or None."""
@@ -248,29 +235,24 @@ class KvAllocator:
                 now_s: float = 0.0) -> int:
         """Free ``owner``'s blocks; returns the token count it covered.
 
-        Host-staged blocks (block-granular swap) are dropped with the
-        device-resident ones.  An attached owner normally detaches from its
-        chain too (the chain stays cached at refcount zero once its last
-        reader leaves); ``keep_prefix=True`` — the preemption path — keeps
-        the chain reference alive so the parked owner's prefix cannot be
-        reclaimed before it resumes.
+        An attached owner normally detaches from its chain too (the chain
+        stays cached at refcount zero once its last reader leaves);
+        ``keep_prefix=True`` — the preemption path — keeps the chain
+        reference alive so the parked owner's prefix cannot be reclaimed
+        before it resumes.
         """
         tokens = self._tokens.pop(owner, 0)
         blocks = self._blocks.pop(owner, 0)
         if blocks:
             self.pool.release(blocks)
-        swapped = self._swapped.pop(owner, 0)
-        if swapped:
-            self.pool.drop_swapped(swapped)
         if not keep_prefix:
             key = self._shared.pop(owner, None)
             if key is not None:
                 self.pool.prefix_detach(key, now_s)
         recorder = self.recorder
-        if recorder is not None and (blocks or swapped):
+        if recorder is not None and blocks:
             recorder.event("kv.release", recorder.now_s, owner,
                            tokens=tokens, blocks=blocks,
-                           dropped_staged=swapped,
                            free_blocks=self.pool.free_blocks)
         return tokens
 
@@ -303,10 +285,6 @@ class KvAllocator:
         block_tokens = self.pool.block_tokens
         shared = tokens // block_tokens
         tail = 1 if tokens % block_tokens else 0
-        if self._blocks.get(owner, 0) < shared:
-            # Part of the prefix is host-staged (partial swap); promoting
-            # would share blocks that are not on device. Skip.
-            return False
         if tail and not self.pool.allocate(tail):
             return False
         chain = self.pool.prefix_adopt(key, tokens, shared + tail, now_s)
@@ -349,59 +327,3 @@ class KvAllocator:
                 continue
             shortfall -= self.evict_prefix(chain.key)
         return self.pool.allocate(blocks)
-
-    # ------------------------------------------------------------------ swap
-
-    def evict_blocks(self, owner: Hashable, num_blocks: int) -> int:
-        """Stage up to ``num_blocks`` of ``owner``'s coldest prefix blocks
-        to host memory, freeing their device blocks for other requests.
-
-        Returns the number actually staged (bounded by the owner's resident
-        count); the owner keeps the rest of its allocation on device and
-        must :meth:`readmit` before its KV is whole again.
-        """
-        if owner not in self._tokens:
-            raise ValueError(f"owner {owner!r} holds no allocation to evict from")
-        if num_blocks <= 0:
-            raise ValueError(f"block count must be positive, got {num_blocks}")
-        staged = min(num_blocks, self._blocks[owner])
-        if staged:
-            self.pool.swap_out(staged)
-            self._blocks[owner] -= staged
-            self._swapped[owner] = self._swapped.get(owner, 0) + staged
-            recorder = self.recorder
-            if recorder is not None:
-                recorder.event("kv.evict", recorder.now_s, owner,
-                               staged_blocks=staged,
-                               resident_blocks=self._blocks[owner],
-                               free_blocks=self.pool.free_blocks)
-        return staged
-
-    def readmit(self, owner: Hashable) -> bool:
-        """Bring ``owner``'s host-staged blocks back on device.
-
-        All-or-nothing: False (side-effect free) when the pool cannot hold
-        every staged block, so a failed readmission under pressure never
-        leaves the owner with a partially-granted restore.
-        """
-        if owner not in self._tokens:
-            raise ValueError(f"owner {owner!r} holds no allocation to readmit")
-        staged = self._swapped.get(owner, 0)
-        if staged == 0:
-            return True
-        if not self.pool.swap_in(staged):
-            shortfall = staged - self.pool.free_blocks
-            for chain in self.pool.evictable_prefixes():
-                if shortfall <= 0:
-                    break
-                shortfall -= self.evict_prefix(chain.key)
-            if not self.pool.swap_in(staged):
-                return False
-        self._blocks[owner] += staged
-        del self._swapped[owner]
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.event("kv.readmit", recorder.now_s, owner,
-                           blocks=staged,
-                           free_blocks=self.pool.free_blocks)
-        return True

@@ -5,14 +5,8 @@ only answers "how many blocks does a context need" and "are that many
 free".  Block identities are not tracked — the simulator prices capacity
 and transfer volume, not physical placement — so allocation is a counter,
 which keeps the serving engine's per-iteration work O(running requests).
-
-Swap is block-granular: :meth:`swap_out` stages device blocks to host
-memory (freeing them for other requests while ``swapped_blocks`` remembers
-the host copies still owned by live allocations), :meth:`swap_in` brings
-them back all-or-nothing, and :meth:`drop_swapped` discards a host copy
-whose owner released (or migrated away).  The device-side invariant
-``free_blocks + used_blocks == num_blocks`` holds through every operation;
-host-staged blocks live outside the device pool.
+The invariant ``free_blocks + used_blocks == num_blocks`` holds through
+every operation.
 
 **Shared-prefix chains** are the one place the pool does track identity: a
 :class:`PrefixChain` pins ``blocks_for(tokens)`` device blocks under a hash
@@ -99,9 +93,6 @@ class BlockPool:
         self.block_bytes = block_tokens * bytes_per_token
         self.num_blocks = int(budget_bytes / occupancy) // self.block_bytes
         self.free_blocks = self.num_blocks
-        #: Blocks staged in host memory that still belong to a live
-        #: allocation (block-granular swap); not part of the device pool.
-        self.swapped_blocks = 0
         #: Resident shared-prefix chains, keyed by prefix hash.
         self.prefix_chains: Dict[Hashable, PrefixChain] = {}
         self._prefix_seq = 0
@@ -152,54 +143,6 @@ class BlockPool:
                 f"cannot release {num_blocks} blocks; only {self.used_blocks} in use"
             )
         self.free_blocks += num_blocks
-
-    # ------------------------------------------------------------------ swap
-
-    def swap_out(self, num_blocks: int) -> None:
-        """Stage ``num_blocks`` allocated blocks to host memory.
-
-        The device blocks become free for other requests; the host copies
-        stay accounted in ``swapped_blocks`` until swapped back in or
-        dropped.
-        """
-        if num_blocks < 0:
-            raise ValueError(f"block count must be non-negative, got {num_blocks}")
-        if num_blocks > self.used_blocks:
-            raise ValueError(
-                f"cannot swap out {num_blocks} blocks; only {self.used_blocks} in use"
-            )
-        self.free_blocks += num_blocks
-        self.swapped_blocks += num_blocks
-
-    def swap_in(self, num_blocks: int) -> bool:
-        """Bring ``num_blocks`` host-staged blocks back on device.
-
-        All-or-nothing: False (side-effect free) when the device pool
-        cannot hold every requested block, so a failed swap-in never leaves
-        a partially-granted allocation behind.
-        """
-        if num_blocks < 0:
-            raise ValueError(f"block count must be non-negative, got {num_blocks}")
-        if num_blocks > self.swapped_blocks:
-            raise ValueError(
-                f"cannot swap in {num_blocks} blocks; only "
-                f"{self.swapped_blocks} staged in host memory"
-            )
-        if not self.allocate(num_blocks):
-            return False
-        self.swapped_blocks -= num_blocks
-        return True
-
-    def drop_swapped(self, num_blocks: int) -> None:
-        """Discard host copies whose owner released (or migrated away)."""
-        if num_blocks < 0:
-            raise ValueError(f"block count must be non-negative, got {num_blocks}")
-        if num_blocks > self.swapped_blocks:
-            raise ValueError(
-                f"cannot drop {num_blocks} staged blocks; only "
-                f"{self.swapped_blocks} staged in host memory"
-            )
-        self.swapped_blocks -= num_blocks
 
     # ------------------------------------------------------------------ prefix chains
 

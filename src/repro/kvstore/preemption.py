@@ -77,12 +77,8 @@ class PreemptionPolicy:
       deadline (``arrival + sla_latency_s``); without an SLA the latest
       arrival has the most implicit slack.
 
-    ``partial_blocks`` enables **block-granular swap**: instead of evicting
-    a victim's whole allocation, only its ``partial_blocks`` coldest prefix
-    blocks are staged to host memory — the victim stays partially resident,
-    and its restore stall shrinks to the staged blocks' transfer instead of
-    the whole context's.  Swap-only: a recompute restore rebuilds the
-    entire KV by re-prefilling, so a partial drop saves it nothing.
+    Eviction is all-or-nothing: a victim gives up its whole allocation and
+    the restore path brings all of it back.
     """
 
     def __init__(
@@ -90,7 +86,6 @@ class PreemptionPolicy:
         policy: str = "lru",
         restore: str = "swap",
         sla_latency_s: Optional[float] = None,
-        partial_blocks: Optional[int] = None,
     ) -> None:
         if policy not in PREEMPTION_POLICIES:
             raise ValueError(
@@ -103,20 +98,9 @@ class PreemptionPolicy:
             )
         if sla_latency_s is not None and sla_latency_s <= 0:
             raise ValueError("the SLA latency bound must be positive")
-        if partial_blocks is not None:
-            if partial_blocks <= 0:
-                raise ValueError(
-                    f"partial_blocks must be positive when set, got {partial_blocks}"
-                )
-            if restore != "swap":
-                raise ValueError(
-                    "block-granular (partial) eviction requires restore='swap': "
-                    "a recompute restore re-prefills the whole context anyway"
-                )
         self.policy = policy
         self.restore = restore
         self.sla_latency_s = sla_latency_s
-        self.partial_blocks = partial_blocks
 
     # ------------------------------------------------------------------ keys
 

@@ -14,10 +14,8 @@ requests against a :class:`~repro.core.system.CentSystem`:
   decode step; when the pool runs dry a
   :class:`~repro.kvstore.PreemptionPolicy` evicts a victim whose KV is
   swapped over the CXL fabric and back (``preemption_restore="swap"``) or
-  dropped and re-prefilled (``"recompute"``).  With
-  ``preemption_partial_blocks=N`` only the victim's N coldest prefix blocks
-  are staged to host memory, and the restore stall shrinks to their
-  transfer;
+  dropped and re-prefilled (``"recompute"``).  Eviction is all-or-nothing:
+  a victim gives up its whole allocation (vLLM's choice too);
 * requests can be **live-migrated** between engines mid-flight
   (:meth:`ServingEngine.migrate_out` / :meth:`ServingEngine.migrate_in`):
   the KV streams through host memory priced like a swap, and the request
@@ -267,7 +265,6 @@ class KvMigration:
     recompute_tokens: int
     stall_s: float
     prefill_stall_s: float
-    partial_evictions: int
     migrated_count: int
     migrated_kv_bytes: int
     #: Prefix-cache history travels too (the destination's result keeps
@@ -285,8 +282,8 @@ class KvMigration:
 _CARRIED_FIELDS = (
     "tokens_generated", "prefill_remaining", "admitted_time_s", "first_token_time_s",
     "last_token_time_s", "preempted_count", "num_swap_outs", "num_swap_ins", "swap_time_s",
-    "recompute_tokens", "stall_s", "prefill_stall_s", "partial_evictions", "migrated_count",
-    "migrated_kv_bytes", "prefix_lookups", "prefix_hits", "prefix_hit_tokens", "cow_blocks")
+    "recompute_tokens", "stall_s", "prefill_stall_s", "migrated_count", "migrated_kv_bytes",
+    "prefix_lookups", "prefix_hits", "prefix_hit_tokens", "cow_blocks")
 
 
 # ------------------------------------------------------------------ admission
@@ -391,7 +388,7 @@ class _ReserveAdmission(_Admission):
 class _PagedAdmission(_Admission):
     """``admission="paged"``: blocks for the request's *current* context,
     grown one token per decode step; on pool exhaustion the preemption
-    policy evicts a victim (swap, recompute or block-granular staging)."""
+    policy evicts a whole victim (swap or recompute)."""
 
     __slots__ = ("allocator", "policy", "prefix_sharing", "kv_scale",
                  "link", "pp_stages")
@@ -410,7 +407,6 @@ class _PagedAdmission(_Admission):
             engine.preemption_policy,
             restore=engine.preemption_restore,
             sla_latency_s=sla_latency_s,
-            partial_blocks=engine.preemption_partial_blocks,
         )
         self.prefix_sharing = engine.prefix_sharing
         # The pool is sized to budget / kv_occupancy in block bytes; reported
@@ -447,17 +443,10 @@ class _PagedAdmission(_Admission):
         return slots
 
     def try_resume(self, state: EngineState, request: ServingRequest) -> bool:
-        # A partially-resident victim re-admits just its staged blocks, the
-        # rest re-allocate; both all-or-nothing, so a failure holds nothing.
-        if request.swapped_kv_blocks:
-            resumable = self.allocator.readmit(request.request_id)
-        else:
-            resumable = self.allocator.allocate(
-                request.request_id, request.resume_kv_tokens,
-                now_s=state.clock)
-        if resumable:
-            request.swapped_kv_blocks = 0
-        return resumable
+        # All-or-nothing, so a failure holds nothing.
+        return self.allocator.allocate(request.request_id,
+                                       request.resume_kv_tokens,
+                                       now_s=state.clock)
 
     def try_admit(self, state: EngineState, head: ServingRequest) -> bool:
         """Allocate the waiting head's prompt blocks, prefix-aware: a
@@ -563,8 +552,7 @@ class _PagedAdmission(_Admission):
         """Grow each decodable request's KV to its context, evicting on
         pool exhaustion; returns the requests that may decode now."""
         allocator, policy = self.allocator, self.policy
-        running, preempted, clock = state.running, state.preempted, state.clock
-        partial = policy.partial_blocks
+        running, clock = state.running, state.clock
         batch: List[ServingRequest] = []
         for request in candidates:
             if request.state is RequestState.PREEMPTED:
@@ -584,28 +572,9 @@ class _PagedAdmission(_Admission):
                     # preempting any live request.
                     allocator.evict_prefix(victim.key)
                 elif victim is not None:
-                    # Block-granular swap: stage only the victim's coldest
-                    # prefix blocks when it holds more than that; a victim
-                    # at or below the partial size is evicted whole.
-                    if (partial is not None
-                            and allocator.holds_resident_blocks(
-                                victim.request_id) > partial):
-                        self._stage_out(state, victim, partial, park=True)
-                    else:
-                        self._preempt(state, victim)
+                    self._preempt(state, victim)
                     if victim in batch:
                         batch.remove(victim)
-                elif partial is not None:
-                    # No runner left to evict; free blocks from a parked,
-                    # still partially-resident victim instead of
-                    # deadlocking the survivor's growth.
-                    parked = [r for r in preempted
-                              if allocator.holds_resident_blocks(
-                                  r.request_id) > 0]
-                    victim = policy.select_victim(parked, clock)
-                    if victim is None:
-                        break
-                    self._stage_out(state, victim, partial, park=False)
                 else:
                     break
                 grown = allocator.grow(request.request_id, target)
@@ -671,57 +640,15 @@ class _PagedAdmission(_Admission):
         state.running.remove(victim)
         state.running_rows = None
         state.preempted.append(victim)
-        self._log_preemption(state, victim, "full", restore=restore,
-                             kv_tokens=tokens_with_kv, context=context)
-
-    def _stage_out(self, state: EngineState, victim: ServingRequest,
-                   num_blocks: int, *, park: bool) -> None:
-        """Block-granular eviction: stage the victim's coldest prefix
-        blocks to host memory, keeping the rest device-resident.
-
-        ``park=True`` takes a runner out of the batch; its restore swaps in
-        just the staged blocks.  ``park=False`` deepens the eviction of an
-        *already parked* victim when no runner is left to evict: its restore
-        grows by the staged blocks and its stall clock keeps running from
-        the original eviction, instead of deadlocking the survivor's growth.
-        """
-        clock = state.clock
-        staged = self.allocator.evict_blocks(victim.request_id, num_blocks)
-        victim.swapped_kv_blocks += staged
-        victim.partial_evictions += 1
-        victim.preempted_count += 1
-        bytes_out = staged * self.allocator.pool.block_bytes
-        out_s = kv_swap_time_s(bytes_out, self.link, pp_stages=self.pp_stages)
-        victim.num_swap_outs += 1
-        victim.swap_time_s += out_s
-        if park:
-            victim.preempt_time_s = clock
-            victim.state = RequestState.PREEMPTED
-            victim.restore_ready_s = 0.0
-            victim.restore_via = "swap"
-            # The allocation survives: resume re-admits the staged blocks
-            # and the KV token count is unchanged.
-            victim.resume_kv_tokens = victim.kv_tokens
-            victim.swap_bytes = bytes_out
-            victim.swap_done_s = clock + out_s
-            state.running.remove(victim)
-            state.running_rows = None
-            state.preempted.append(victim)
-        else:
-            victim.swap_bytes += bytes_out
-            # The fresh transfer queues behind any still-draining one.
-            victim.swap_done_s = max(victim.swap_done_s, clock) + out_s
-        self._log_preemption(state, victim, "partial", staged_blocks=staged,
-                             park=park)
-
-    @staticmethod
-    def _log_preemption(state: EngineState, victim: ServingRequest,
-                        kind: str, **details) -> None:
-        state.preemption_log.append((state.clock, victim.request_id))
+        state.preemption_log.append((clock, victim.request_id))
         rec = state.recorder
         if rec is not None:
-            rec.event("serving.preempt", state.clock, victim.request_id,
-                      kind=kind, **details)
+            # A swap names the bytes it staged out, so a saved trace can
+            # total the link traffic (``attribute_trace``).
+            priced = {"swap_bytes": victim.swap_bytes} if restore == "swap" else {}
+            rec.event("serving.preempt", clock, victim.request_id,
+                      restore=restore, kv_tokens=tokens_with_kv,
+                      context=context, **priced)
 
 
 #: The one place an admission mode string picks its implementation.
@@ -776,12 +703,6 @@ class ServingEngine:
     preemption_restore:
         How a victim's KV comes back: ``"swap"`` (CXL-priced staging to
         host memory and back) or ``"recompute"`` (drop and re-prefill).
-    preemption_partial_blocks:
-        Block-granular swap: evict only this many of a victim's coldest
-        prefix blocks per preemption (the victim stays partially resident
-        and re-admits just the staged blocks), instead of its whole
-        allocation.  ``None`` (default) keeps the legacy full eviction;
-        requires ``preemption_restore="swap"``.
     prefix_sharing:
         Shared-prefix KV reuse in paged mode (``True`` by default).  A
         query tagged with ``prefix_id``/``prefix_tokens`` whose prefix
@@ -794,15 +715,19 @@ class ServingEngine:
         first), and unreferenced chains are reclaimed under admission
         pressure.  A trace without prefix tags — and any
         ``prefix_sharing=False`` run — is served bit-exactly as before;
-        reserve mode ignores prefix tags entirely.
+        reserve mode ignores prefix tags entirely.  ``False`` is the
+        no-reuse arm of ``repro.evaluation.prefix_reuse_study``
+        (``benchmarks/test_prefix_reuse_goodput.py``).
     vectorize:
         ``True`` (default): price mixed batches with the cost model's
         vectorized entry points and fast-forward uneventful all-decode
         stretches in closed form.  ``False`` forces the scalar
         per-request, per-iteration loop.  Both paths are bit-exact with
         each other (the vectorized folds reproduce the scalar float
-        arithmetic operation for operation); the knob exists for A/B
-        speed measurement and as an escape hatch.
+        arithmetic operation for operation); ``False`` is the reference
+        oracle of ``tests/test_vectorized_engine.py`` and
+        ``tests/test_telemetry.py``, and the baseline of
+        ``benchmarks/test_sim_speed.py``.
     """
 
     def __init__(
@@ -819,7 +744,6 @@ class ServingEngine:
         kv_block_tokens: int = 16,
         preemption_policy: str = "lru",
         preemption_restore: str = "swap",
-        preemption_partial_blocks: Optional[int] = None,
         prefix_sharing: bool = True,
         vectorize: bool = True,
     ) -> None:
@@ -835,10 +759,9 @@ class ServingEngine:
             )
         if kv_block_tokens <= 0:
             raise ValueError("kv_block_tokens must be positive")
-        # Fail fast on bad policy/restore/partial knobs with the policy's
-        # own validation (one definition of the valid sets and messages).
-        PreemptionPolicy(preemption_policy, restore=preemption_restore,
-                         partial_blocks=preemption_partial_blocks)
+        # Fail fast on bad policy/restore knobs with the policy's own
+        # validation (one definition of the valid sets and messages).
+        PreemptionPolicy(preemption_policy, restore=preemption_restore)
         self.system = system
         self.model = system.model
         self.plan = plan
@@ -856,7 +779,6 @@ class ServingEngine:
         self.kv_block_tokens = kv_block_tokens
         self.preemption_policy = preemption_policy
         self.preemption_restore = preemption_restore
-        self.preemption_partial_blocks = preemption_partial_blocks
         self.prefix_sharing = prefix_sharing
         self.vectorize = vectorize
         self._profile = ModelMemoryProfile(self.model)
@@ -867,7 +789,8 @@ class ServingEngine:
         # redoing both, while mutating e.g. ``max_batch_size`` between runs
         # still takes effect.  FIFO-bounded like the block-cost cache below
         # it, so sweeps over many trace shapes cannot grow it forever.
-        self._setup_cache: Dict[tuple, Tuple[ParallelismPlan, IterationCostModel, int]] = {}
+        self._setup_cache: Dict[
+            tuple, Tuple[ParallelismPlan, IterationCostModel, int, int]] = {}
         self._setup_cache_entries = 8
 
     # ------------------------------------------------------------------ planning
@@ -1261,6 +1184,7 @@ class ServingEngine:
         """Bring a preempted request back; its KV is already held again."""
         clock = state.clock
         via = request.restore_via
+        migrated = request.migration_pending
         request.kv_tokens = request.resume_kv_tokens
         before_first = request.first_token_time_s is None
         parked_s = clock - request.preempt_time_s
@@ -1288,9 +1212,13 @@ class ServingEngine:
         request.state = RequestState.PREFILL if rebuilding else RequestState.DECODE
         rec = state.recorder
         if rec is not None:
+            # A preemption's swap-in names its bytes like the swap-out did;
+            # a migration's swap-in is ``cluster.migrate`` traffic instead.
+            priced = ({"swap_bytes": request.swap_bytes}
+                      if via == "swap" and not migrated else {})
             rec.event("request.resume", clock, request.request_id,
                       via=via, ready_s=request.restore_ready_s,
-                      rebuild_tokens=request.restore_remaining)
+                      rebuild_tokens=request.restore_remaining, **priced)
 
     # Building one iteration.  Default (prefill-priority, vLLM's stock
     # scheduler): an iteration runs either a bounded chunk of prefill work
@@ -1711,7 +1639,6 @@ class ServingEngine:
             state.running.remove(request)
             state.running_rows = None
         request.kv_tokens = 0
-        request.swapped_kv_blocks = 0
         request.restore_via = ""
         request.migration_pending = False
         request.state = RequestState.MIGRATED

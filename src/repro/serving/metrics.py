@@ -185,7 +185,6 @@ def aggregate_serving_result(
         swap_time_s=sum(r.swap_time_s for r in requests),
         recompute_tokens=sum(r.recompute_tokens for r in requests),
         preemption_stall_time_s=sum(r.stall_s for r in requests),
-        num_partial_evictions=sum(r.partial_evictions for r in requests),
         num_migrated_in=sum(r.migrated_count for r in requests),
         migrated_kv_bytes=sum(r.migrated_kv_bytes for r in requests),
         num_prefix_lookups=sum(r.prefix_lookups for r in requests),

@@ -184,10 +184,6 @@ class ServingRequest:
         #: ``"recompute"`` while evicted, ``""`` otherwise.  Live migrations
         #: always restore by swap, whatever the destination's policy.
         "restore_via",
-        #: Blocks of this request's KV staged in host memory by a partial
-        #: (block-granular) eviction; resume re-admits exactly these while
-        #: the rest of the allocation stayed device-resident.
-        "swapped_kv_blocks",
         #: True between a live migration landing and its first resume on the
         #: destination: the chain's single swap-in is already accounted for.
         "migration_pending",
@@ -203,8 +199,6 @@ class ServingRequest:
         #: attribution layer splits the stall across the prefill/decode
         #: phases with it.
         "prefill_stall_s",
-        #: Block-granular evictions among ``preempted_count``.
-        "partial_evictions",
         #: Times this request was live-migrated between engines, and the KV
         #: bytes those moves streamed through host memory.
         "migrated_count",
@@ -251,7 +245,6 @@ class ServingRequest:
         self.preempt_time_s: Optional[float] = None
         self.restore_started_s = 0.0
         self.restore_via = ""
-        self.swapped_kv_blocks = 0
         self.migration_pending = False
         self.preempted_count = 0
         self.num_swap_outs = 0
@@ -260,7 +253,6 @@ class ServingRequest:
         self.recompute_tokens = 0
         self.stall_s = 0.0
         self.prefill_stall_s = 0.0
-        self.partial_evictions = 0
         self.migrated_count = 0
         self.migrated_kv_bytes = 0
         self.prefix_lookups = 0

@@ -391,7 +391,8 @@ class TraceAttribution:
     request_rows: Tuple[Dict[str, Any], ...]
     #: ``{scope: [(ts_s, used_fraction), ...]}`` from the kv.* events.
     kv_occupancy: Dict[str, List[Tuple[float, float]]]
-    #: KV bytes staged over the CXL link (evictions + readmissions).
+    #: KV bytes preemption swaps moved over the CXL link (swap-outs +
+    #: swap-ins); live migrations count in ``link_migrated_bytes``.
     link_swap_bytes: int
     #: KV bytes live migrations moved through host memory.
     link_migrated_bytes: int
@@ -475,13 +476,10 @@ def _request_rows(events: Sequence[Event]) -> List[Dict[str, Any]]:
     return rows
 
 
-def _kv_occupancy(events: Sequence[Event]) -> Tuple[
-        Dict[str, List[Tuple[float, float]]], int]:
-    """Per-scope occupancy timeline plus total CXL-staged KV bytes."""
+def _kv_occupancy(events: Sequence[Event]) -> Dict[str, List[Tuple[float, float]]]:
+    """Per-scope occupancy timeline."""
     capacity: Dict[str, int] = {}
-    block_bytes: Dict[str, int] = {}
     timelines: Dict[str, List[Tuple[float, float]]] = {}
-    swap_bytes = 0
     for event in events:
         name = event["name"]
         if not name.startswith("kv."):
@@ -490,7 +488,6 @@ def _kv_occupancy(events: Sequence[Event]) -> Tuple[
         args = event.get("args") or {}
         if name == "kv.pool":
             capacity[scope] = int(args.get("total_blocks", 0))
-            block_bytes[scope] = int(args.get("block_bytes", 0))
             continue
         free = args.get("free_blocks")
         if free is not None:
@@ -503,19 +500,17 @@ def _kv_occupancy(events: Sequence[Event]) -> Tuple[
             used = max(total - int(free), 0)
             timelines.setdefault(scope, []).append(
                 (event["ts_s"], used / total if total else 0.0))
-        if name == "kv.evict":
-            swap_bytes += int(args.get("staged_blocks", 0)) \
-                * block_bytes.get(scope, 0)
-        elif name == "kv.readmit":
-            swap_bytes += int(args.get("blocks", 0)) \
-                * block_bytes.get(scope, 0)
-    return timelines, swap_bytes
+    return timelines
 
 
 def attribute_trace(events: Iterable[Event]) -> TraceAttribution:
     """Post-hoc attribution of a saved trace (JSONL event dicts)."""
     events = list(events)
-    timelines, swap_bytes = _kv_occupancy(events)
+    # Each swap-out (serving.preempt) and swap-in (request.resume) of a
+    # preemption names the bytes the engine priced for it.
+    swapped = sum(int((event.get("args") or {}).get("swap_bytes", 0))
+                  for event in events
+                  if event["name"] in ("serving.preempt", "request.resume"))
     migrated = sum(int((event.get("args") or {}).get("kv_bytes", 0))
                    for event in events
                    if event["name"] == "cluster.migrate"
@@ -523,8 +518,8 @@ def attribute_trace(events: Iterable[Event]) -> TraceAttribution:
     return TraceAttribution(
         scope_busy=_scope_busy(events),
         request_rows=tuple(_request_rows(events)),
-        kv_occupancy=timelines,
-        link_swap_bytes=swap_bytes,
+        kv_occupancy=_kv_occupancy(events),
+        link_swap_bytes=swapped,
         link_migrated_bytes=migrated,
     )
 
@@ -591,7 +586,7 @@ def utilization_summary(events: Iterable[Event]) -> str:
     lines.append("")
     lines.append(
         f"CXL link: {attribution.link_swap_bytes / 2**20:.1f} MiB KV "
-        f"swapped (evict + readmit), "
+        f"swapped (swap-out + swap-in), "
         f"{attribution.link_migrated_bytes / 2**20:.1f} MiB live-migrated "
         "through host memory")
     return "\n".join(lines)

@@ -228,7 +228,7 @@ def _kv_section(attribution: TraceAttribution) -> str:
         "<h2>KV pool occupancy</h2>"
         "<p class='muted'>fraction of pool blocks in use, per sample</p>"
         + "".join(blocks)
-        + f"<p>CXL link: {swapped:.1f} MiB KV swapped (evict + readmit), "
+        + f"<p>CXL link: {swapped:.1f} MiB KV swapped (swap-out + swap-in), "
           f"{migrated:.1f} MiB live-migrated through host memory.</p>")
 
 

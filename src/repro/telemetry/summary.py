@@ -112,8 +112,8 @@ def preemption_chains(events: Iterable[Event], *, top: int = 10) -> str:
         steps = []
         for event in chain:
             if event["name"] == "serving.preempt":
-                kind = _args(event).get("kind", "evict")
-                steps.append(f"preempt({kind})@{event['ts_s']:.3f}s")
+                restore = _args(event).get("restore", "?")
+                steps.append(f"preempt({restore})@{event['ts_s']:.3f}s")
             else:
                 steps.append(f"resume@{event['ts_s']:.3f}s")
         lines.append(f"  [{scope}] request {rid}: " + " -> ".join(steps))

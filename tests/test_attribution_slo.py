@@ -278,16 +278,48 @@ class TestTraceAttribution:
              "args": {"free_blocks": 4}},
             {"scope": "engine", "pid": 1, "name": "kv.release", "ts_s": 2.0,
              "args": {"free_blocks": 9}},
-            {"scope": "engine", "pid": 1, "name": "kv.evict", "ts_s": 3.0,
-             "args": {"free_blocks": 8, "staged_blocks": 3}},
-            {"scope": "engine", "pid": 1, "name": "kv.readmit", "ts_s": 4.0,
-             "args": {"free_blocks": 5, "blocks": 3}},
+            {"scope": "engine", "pid": 1, "name": "kv.release", "ts_s": 3.0,
+             "args": {"free_blocks": 8}},
+            {"scope": "engine", "pid": 1, "name": "serving.preempt",
+             "ts_s": 3.0, "request_id": 0,
+             "args": {"restore": "swap", "swap_bytes": 3 * 1024}},
+            {"scope": "engine", "pid": 1, "name": "kv.alloc", "ts_s": 4.0,
+             "args": {"free_blocks": 5}},
+            {"scope": "engine", "pid": 1, "name": "request.resume",
+             "ts_s": 4.0, "request_id": 0,
+             "args": {"via": "swap", "swap_bytes": 3 * 1024}},
+            {"scope": "engine", "pid": 1, "name": "serving.preempt",
+             "ts_s": 5.0, "request_id": 1, "args": {"restore": "recompute"}},
         ]
         attribution = attribute_trace(events)
         assert attribution.kv_occupancy["engine"] == [
             (1.0, 0.6), (2.0, 0.1), (3.0, 0.2), (4.0, 0.5)]
-        # evict staged 3 blocks out, readmit brought 3 back: 6 KiB total.
+        # 3 KiB swapped out and the same 3 KiB back in; the recompute
+        # eviction moves nothing over the link.
         assert attribution.link_swap_bytes == 6 * 1024
+
+    def test_link_swap_bytes_match_the_priced_swaps(
+            self, system, tight_capacity, monkeypatch):
+        import repro.serving.engine as engine_module
+
+        priced = []
+        real = engine_module.kv_swap_time_s
+
+        def recording(num_bytes, link, pp_stages=1):
+            priced.append(num_bytes)
+            return real(num_bytes, link, pp_stages=pp_stages)
+
+        monkeypatch.setattr(engine_module, "kv_swap_time_s", recording)
+        engine = make_engine(system, SCENARIOS["paged_swap"], vectorize=True,
+                             capacity=tight_capacity)
+        recorder = TraceRecorder()
+        run = engine.simulate(preempting_trace(), telemetry=recorder)
+        recorder.finalize()
+        swaps = sum(r.num_swap_outs + r.num_swap_ins for r in run.requests)
+        assert swaps > 0, "the tight pool must have swapped someone"
+        assert len(priced) == swaps
+        link_bytes = attribute_trace(iter_scope_events(recorder)).link_swap_bytes
+        assert link_bytes == sum(priced) > 0
 
     def test_scope_busy_sums_window_spans(self):
         events = [

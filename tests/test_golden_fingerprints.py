@@ -103,24 +103,23 @@ def pressured(system, **kwargs):
                          **kwargs)
 
 
-#: Digests recorded before the engine was split into phase methods.
-#: One per ``SCENARIOS`` entry, each run under memory pressure.
+#: Digests recorded at the commit before block-granular swap was deleted,
+#: with the always-zero partial-eviction count already dropped from the
+#: encoding.  One per ``SCENARIOS`` entry, each run under memory pressure.
 SCENARIO_DIGESTS = {
     "paged_interleave":
-        "456706a6a4a6009194bf25e39185d2294afb173067bc838decf242fa2d11c178",
-    "paged_partial_eviction":
-        "519c255773e0422fccb0f4d1f9a689685f036b07be52e84674dddd6879848088",
+        "5cb09975f59ed15f2c2fa5bdd6fcc2d205bbd7ea6ef97ec3ad4f57dd81690996",
     "paged_recompute":
-        "a0927afd438ef51840a9d10cb18d90df1ea8a43a011eb3e3ff7b29dfa8caf043",
+        "a7ba849bd076162fee90772ec29faa9046f464b6f737b0cbfd594c4973a4e898",
     "paged_swap":
-        "77c8749a2b6d23fdafa4e90edf2fce38d4c1e300e3cfefa216897b479df2cb2d",
+        "712c3f5b6cf548a4166f9846349c2aad34fd2b38b3cce6d823b8a0d1626151ab",
     "reserve":
-        "137de493880e6c7f4b3683302dd6f58910588bbf0fe3140828b59cc457ae6747",
+        "3ace9f083fd33947ed9e489760b671145741b97aec5c66919df7c5cd4dd55fce",
     "reserve_interleave":
-        "4a6cf34a2349a49dcd23333fb38e5a2864e6163a44f1d8df2c97c18f00a023f7",
+        "10dbe653c31f82fde037c016a40534f4888afcabeabf1ebb915a0b7fd68ee997",
 }
 SEGMENTED_DIGEST = (
-    "28ca6db86ef8577beb92ba3df1183778824f92d28e87763a7222b340646cb643")
+    "4a63ecdd15d4016ee57fff056c1ade973d9e35fbaacc0f7d33b88e9dd2cfe68a")
 MIGRATION_DIGESTS = {
     "paged":
         "7c3bff88afc6c339645bb4004cc601e2b96a2728b8bd895eeddaecc0ee581a85",
@@ -128,9 +127,9 @@ MIGRATION_DIGESTS = {
         "101a8e324f8b84a848b1e05a40b187ba3910778d622ed05d21d9def13034d80b",
 }
 PREFIX_DIGEST = (
-    "282c928d4315a9c70079edb8533697b31b3c9b942ff4b65908861b27f2527fc1")
+    "39eeb98f0af77755379efa682ea3d68d1edb4c1726623871199ecaf972f236a9")
 CLUSTER_DIGEST = (
-    "41cdfe0742dd1fc724ece1a455fdc30740534e5b644d67edca63d3030e5425a1")
+    "2469210471583da494a894f60bb0d8a0492d8aea1d1c55b2ec996c1bcb5bb42b")
 
 
 def test_scenarios_cover_the_matrix():

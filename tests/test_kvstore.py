@@ -130,45 +130,6 @@ class TestBlockPool:
         with pytest.raises(ValueError):
             BlockPool(budget_bytes=100, bytes_per_token=10, occupancy=1.5)
 
-    def test_swap_out_frees_device_blocks_and_tracks_host_copies(self):
-        pool = BlockPool(budget_bytes=640, bytes_per_token=10, block_tokens=16)
-        assert pool.num_blocks == 4
-        assert pool.allocate(3)
-        pool.swap_out(2)
-        # Device blocks freed for others, host copies remembered.
-        assert pool.free_blocks == 3
-        assert pool.used_blocks == 1
-        assert pool.swapped_blocks == 2
-        assert pool.free_blocks + pool.used_blocks == pool.num_blocks
-
-    def test_swap_in_is_all_or_nothing(self):
-        pool = BlockPool(budget_bytes=640, bytes_per_token=10, block_tokens=16)
-        assert pool.allocate(3)
-        pool.swap_out(3)                     # free 3, staged 3
-        assert pool.allocate(2)              # someone else takes 2
-        assert not pool.swap_in(3)           # only 2 free: refused whole
-        assert pool.swapped_blocks == 3      # nothing partially granted
-        assert pool.free_blocks == 2
-        pool.release(2)
-        assert pool.swap_in(3)
-        assert pool.swapped_blocks == 0
-        assert pool.used_blocks == 3
-
-    def test_swap_bounds(self):
-        pool = BlockPool(budget_bytes=640, bytes_per_token=10, block_tokens=16)
-        assert pool.allocate(2)
-        with pytest.raises(ValueError):
-            pool.swap_out(3)                 # only 2 in use
-        with pytest.raises(ValueError):
-            pool.swap_in(1)                  # nothing staged
-        pool.swap_out(2)
-        with pytest.raises(ValueError):
-            pool.drop_swapped(3)             # only 2 staged
-        pool.drop_swapped(2)
-        assert pool.swapped_blocks == 0
-        with pytest.raises(ValueError):
-            pool.swap_out(-1)
-
 
 class TestKvAllocator:
     def make(self, blocks=4, block_tokens=16):
@@ -213,74 +174,6 @@ class TestKvAllocator:
             alloc.grow("a", 4)               # shrink
         with pytest.raises(ValueError):
             alloc.grow("ghost", 8)           # unknown owner
-
-    def test_partial_evict_and_readmit_roundtrip(self):
-        alloc = self.make(blocks=6)
-        assert alloc.allocate("a", 80)       # 5 blocks
-        assert alloc.evict_blocks("a", 2) == 2
-        assert alloc.holds_resident_blocks("a") == 3
-        assert alloc.holds_swapped_blocks("a") == 2
-        assert alloc.holds_blocks("a") == 5  # logical allocation unchanged
-        assert alloc.holds_tokens("a") == 80
-        assert alloc.pool.free_blocks == 3   # 1 spare + 2 staged out
-        assert alloc.readmit("a")
-        assert alloc.holds_resident_blocks("a") == 5
-        assert alloc.holds_swapped_blocks("a") == 0
-        assert alloc.pool.swapped_blocks == 0
-
-    def test_evict_blocks_bounded_by_residency(self):
-        alloc = self.make(blocks=4)
-        assert alloc.allocate("a", 40)       # 3 blocks
-        assert alloc.evict_blocks("a", 10) == 3   # capped at resident count
-        assert alloc.holds_resident_blocks("a") == 0
-        with pytest.raises(ValueError):
-            alloc.evict_blocks("a", 0)
-        with pytest.raises(ValueError):
-            alloc.evict_blocks("ghost", 1)
-        with pytest.raises(ValueError):
-            alloc.readmit("ghost")
-
-    def test_readmit_is_all_or_nothing_when_pool_exhausted_mid_grant(self):
-        """Satellite regression: a swap-in that cannot be granted in full
-        must not leak partially-granted blocks — the pool is exhausted
-        mid-grant and everything must come back side-effect free."""
-        alloc = self.make(blocks=6)
-        assert alloc.allocate("victim", 80)  # 5 blocks
-        assert alloc.evict_blocks("victim", 4) == 4
-        # Another owner takes 3 of the 5 free blocks: the victim's 4-block
-        # readmission can only be half-granted, so it must not be at all.
-        assert alloc.allocate("squatter", 48)
-        free_before = alloc.pool.free_blocks
-        assert not alloc.readmit("victim")
-        assert alloc.pool.free_blocks == free_before
-        assert alloc.holds_swapped_blocks("victim") == 4
-        assert alloc.holds_resident_blocks("victim") == 1
-        assert alloc.pool.swapped_blocks == 4
-        # Once the squatter leaves, the same readmission succeeds whole.
-        alloc.release("squatter")
-        assert alloc.readmit("victim")
-        assert alloc.holds_resident_blocks("victim") == 5
-
-    def test_release_drops_host_staged_blocks_too(self):
-        alloc = self.make(blocks=4)
-        assert alloc.allocate("a", 50)       # 4 blocks
-        assert alloc.evict_blocks("a", 2) == 2
-        assert alloc.pool.swapped_blocks == 2
-        assert alloc.release("a") == 50
-        assert alloc.pool.free_blocks == 4
-        assert alloc.pool.swapped_blocks == 0
-        assert alloc.holds_blocks("a") == 0
-
-    def test_grow_counts_staged_blocks_as_held(self):
-        alloc = self.make(blocks=6)
-        assert alloc.allocate("a", 64)       # 4 blocks
-        assert alloc.evict_blocks("a", 2) == 2
-        # Growing within the logically-held 4 blocks allocates nothing new.
-        assert alloc.grow("a", 64)
-        assert alloc.holds_resident_blocks("a") == 2
-        assert alloc.grow("a", 65)           # 5th block: one fresh allocation
-        assert alloc.holds_resident_blocks("a") == 3
-        assert alloc.holds_blocks("a") == 5
 
 
 def make_request(request_id, *, arrival=0.0, priority=1.0, last_token=None,
@@ -338,14 +231,6 @@ class TestPreemptionPolicy:
             PreemptionPolicy(restore="teleport")
         with pytest.raises(ValueError):
             PreemptionPolicy(sla_latency_s=0.0)
-
-    def test_partial_blocks_validation(self):
-        assert PreemptionPolicy(partial_blocks=4).partial_blocks == 4
-        assert PreemptionPolicy().partial_blocks is None
-        with pytest.raises(ValueError):
-            PreemptionPolicy(partial_blocks=0)
-        with pytest.raises(ValueError, match="swap"):
-            PreemptionPolicy(restore="recompute", partial_blocks=4)
 
 
 class TestSwapPricing:
@@ -528,95 +413,6 @@ class TestPagedAdmission:
             ServingEngine(system, pp_plan, preemption_restore="teleport")
         assert ADMISSION_MODES == ("reserve", "paged")
         assert set(RESTORE_MODES) == {"swap", "recompute"}
-
-
-class TestPartialEviction:
-    """Block-granular swap: evict cold prefix blocks, not whole requests."""
-
-    @pytest.fixture(scope="class")
-    def slow_system(self, small_model):
-        # A slow fabric makes the KV transfer, not the engine iteration,
-        # the dominant restore cost — the regime block-granular swap is for.
-        from repro.cxl.link import CxlLinkParameters
-        link = CxlLinkParameters(lane_bandwidth_gbps=0.05)
-        config = CentConfig(num_devices=4, context_samples=2, link=link)
-        return CentSystem(config, small_model)
-
-    def transient_trace(self):
-        # One big low-priority decoder; two short interactive requests
-        # force a transient squeeze of a few blocks, then recede.
-        return [Query(624, 160, priority=0.5),
-                Query(64, 64, priority=2.0),
-                Query(64, 64, priority=2.0)]
-
-    def build(self, slow_system, pp_plan, profile, partial):
-        bpt = profile.kv_cache_bytes_per_token()
-        capacity = int(profile.parameter_bytes + 50 * 16 * bpt)
-        return ServingEngine(slow_system, pp_plan, memory_capacity_bytes=capacity,
-                             admission="paged", preemption_policy="priority",
-                             preemption_restore="swap",
-                             preemption_partial_blocks=partial)
-
-    def test_partial_eviction_stages_fewer_bytes_and_finishes_sooner(
-            self, slow_system, pp_plan, profile):
-        trace = self.transient_trace()
-        full = self.build(slow_system, pp_plan, profile, None).run(trace)
-        part = self.build(slow_system, pp_plan, profile, 2).run(trace)
-        assert full.num_completed == part.num_completed == 3
-        assert full.num_partial_evictions == 0
-        assert part.num_partial_evictions > 0
-        assert part.num_preemptions == part.num_partial_evictions
-        # A 2-block bite never pays a whole-context transfer, so the total
-        # staged volume (and its CXL time) shrinks...
-        assert part.swap_time_s < full.swap_time_s
-        # ... and the transient squeeze no longer costs a big-request
-        # round trip: the run drains strictly sooner.
-        assert part.makespan_s < full.makespan_s
-
-    def test_partially_resident_victim_readmits_and_finishes(
-            self, slow_system, pp_plan, profile):
-        run = self.build(slow_system, pp_plan, profile, 2).simulate(
-            self.transient_trace())
-        assert all(r.state is RequestState.FINISHED for r in run.requests)
-        victims = [r for r in run.requests if r.partial_evictions]
-        assert victims
-        for victim in victims:
-            # Every staged bite came back: the allocation is whole again
-            # (and was released on completion).
-            assert victim.swapped_kv_blocks == 0
-            assert victim.num_swap_ins >= 1
-            assert victim.stall_s > 0
-
-    def test_pool_conserved_through_partial_eviction(self, slow_system,
-                                                     pp_plan, profile):
-        engine = self.build(slow_system, pp_plan, profile, 2)
-        state = engine.begin(self.transient_trace())
-        while not state.drained:
-            engine.advance(state, until_s=state.clock + 0.01)
-            pool = state.allocator.pool
-            assert pool.free_blocks + pool.used_blocks == pool.num_blocks
-            assert pool.swapped_blocks >= 0
-        pool = state.allocator.pool
-        # Drained: nothing resident, nothing staged in host memory.
-        assert pool.free_blocks == pool.num_blocks
-        assert pool.swapped_blocks == 0
-
-    def test_partial_eviction_is_deterministic(self, slow_system, pp_plan,
-                                               profile):
-        trace = self.transient_trace()
-        first = self.build(slow_system, pp_plan, profile, 2).simulate(trace)
-        again = self.build(slow_system, pp_plan, profile, 2).simulate(trace)
-        assert first.preemption_log
-        assert again.preemption_log == first.preemption_log
-
-    def test_partial_knob_rejected_with_recompute(self, system, pp_plan):
-        with pytest.raises(ValueError, match="swap"):
-            ServingEngine(system, pp_plan, admission="paged",
-                          preemption_restore="recompute",
-                          preemption_partial_blocks=4)
-        with pytest.raises(ValueError):
-            ServingEngine(system, pp_plan, admission="paged",
-                          preemption_partial_blocks=-1)
 
 
 class TestPreemptionDeterminism:

@@ -153,15 +153,14 @@ def test_gemv_flops_independent_of_channel_count(out_dim, in_dim, channels):
 @st.composite
 def allocator_op_sequences(draw):
     """Random lifecycles over a small block pool: allocations, growth,
-    partial (block-granular) evictions, readmissions and releases."""
+    releases and migrations."""
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=30))):
         kind = draw(st.sampled_from(
-            ["allocate", "grow", "evict", "readmit", "release", "migrate"]))
+            ["allocate", "grow", "release", "migrate"]))
         owner = draw(st.integers(min_value=0, max_value=4))
         tokens = draw(st.integers(min_value=0, max_value=200))
-        blocks = draw(st.integers(min_value=1, max_value=6))
-        ops.append((kind, owner, tokens, blocks))
+        ops.append((kind, owner, tokens))
     return ops
 
 
@@ -169,19 +168,19 @@ def allocator_op_sequences(draw):
 @settings(max_examples=200)
 def test_kv_blocks_conserved_across_preemption_and_swap(num_blocks, ops):
     """Block conservation at every step: every block of each pool is either
-    free or device-resident (``free + used == pool size``), every block an
-    owner logically holds is either resident or host-staged, and each
-    pool's host-staging counter agrees with the per-owner ledgers — across
-    allocation, growth, partial eviction, readmission, release, and
-    migration of an owner between two pools (the live-migration shape:
-    release on the source, fresh allocation on the destination)."""
+    free or held (``free + used == pool size``), the pool's used blocks are
+    exactly the owners' blocks, and each owner holds ``blocks_for(tokens)``
+    — across allocation, growth, release (a whole-request swap or
+    recompute eviction frees everything), and migration of an owner
+    between two pools (the live-migration shape: release on the source,
+    fresh allocation on the destination)."""
     from repro.kvstore import BlockPool, KvAllocator
 
     pools = [BlockPool(budget_bytes=num_blocks * 16 * 10, bytes_per_token=10,
                        block_tokens=16) for _ in range(2)]
     allocators = [KvAllocator(pool) for pool in pools]
     held: dict = {}     # owner -> (allocator index, tokens covered)
-    for kind, owner, tokens, blocks in ops:
+    for kind, owner, tokens in ops:
         if kind == "allocate" and owner not in held:
             if allocators[0].allocate(owner, tokens):
                 held[owner] = (0, tokens)
@@ -190,10 +189,6 @@ def test_kv_blocks_conserved_across_preemption_and_swap(num_blocks, ops):
             target = max(current, tokens)
             if allocators[side].grow(owner, target):
                 held[owner] = (side, target)
-        elif kind == "evict" and owner in held:
-            allocators[held[owner][0]].evict_blocks(owner, blocks)
-        elif kind == "readmit" and owner in held:
-            allocators[held[owner][0]].readmit(owner)
         elif kind == "release" and owner in held:
             side, current = held.pop(owner)
             assert allocators[side].release(owner) == current
@@ -213,20 +208,16 @@ def test_kv_blocks_conserved_across_preemption_and_swap(num_blocks, ops):
             assert pool.free_blocks + pool.used_blocks == pool.num_blocks
             assert pool.used_blocks == sum(
                 allocator.holds_resident_blocks(o) for o in owners)
-            assert pool.swapped_blocks == sum(
-                allocator.holds_swapped_blocks(o) for o in owners)
             for o in owners:
                 resident = allocator.holds_resident_blocks(o)
-                swapped = allocator.holds_swapped_blocks(o)
-                assert resident >= 0 and swapped >= 0
-                assert resident + swapped == pool.blocks_for(held[o][1]) \
+                assert resident >= 0
+                assert resident == pool.blocks_for(held[o][1]) \
                     == allocator.holds_blocks(o)
 
     for owner, (side, _) in list(held.items()):
         allocators[side].release(owner)
     for pool in pools:
         assert pool.free_blocks == pool.num_blocks
-        assert pool.swapped_blocks == 0
 
 
 # ------------------------------------------------------- prefix chain conservation
@@ -234,19 +225,18 @@ def test_kv_blocks_conserved_across_preemption_and_swap(num_blocks, ops):
 @st.composite
 def prefix_op_sequences(draw):
     """Random lifecycles over shared prefix chains: fresh allocations,
-    cache-hit attaches, promote-on-prefill registrations, growth, swap,
+    cache-hit attaches, promote-on-prefill registrations, growth,
     preemption parking (release keeping the chain pin), pinned resumption,
     chain eviction and cross-pool migration."""
     ops = []
     for _ in range(draw(st.integers(min_value=1, max_value=40))):
         kind = draw(st.sampled_from(
-            ["allocate", "attach", "grow", "evict", "readmit", "park",
+            ["allocate", "attach", "grow", "park",
              "resume", "release", "register", "chain_evict", "migrate"]))
         owner = draw(st.integers(min_value=0, max_value=4))
         key = draw(st.integers(min_value=0, max_value=2))
         tokens = draw(st.integers(min_value=1, max_value=200))
-        blocks = draw(st.integers(min_value=1, max_value=6))
-        ops.append((kind, owner, key, tokens, blocks))
+        ops.append((kind, owner, key, tokens))
     return ops
 
 
@@ -258,7 +248,7 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
     the chains' shared blocks (nothing double-counted through a COW tail or
     a promote), every chain's refcount equals its attached readers —
     *including* parked preemption victims pinning their prefix — and each
-    fully-resident owner still logically covers ``blocks_for(tokens)``."""
+    owner still logically covers ``blocks_for(tokens)``."""
     from repro.kvstore import BlockPool, KvAllocator
 
     pools = [BlockPool(budget_bytes=num_blocks * 16 * 10, bytes_per_token=10,
@@ -267,7 +257,7 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
     held: dict = {}     # owner -> (allocator index, tokens covered)
     parked: dict = {}   # owner -> allocator index (released keep_prefix)
     clock = 0.0
-    for kind, owner, key, tokens, blocks in ops:
+    for kind, owner, key, tokens in ops:
         clock += 1.0
         side = key % 2
         if kind == "allocate" and owner not in held and owner not in parked:
@@ -285,10 +275,6 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
             target = max(current, tokens)
             if allocators[where].grow(owner, target):
                 held[owner] = (where, target)
-        elif kind == "evict" and owner in held:
-            allocators[held[owner][0]].evict_blocks(owner, blocks)
-        elif kind == "readmit" and owner in held:
-            allocators[held[owner][0]].readmit(owner)
         elif kind == "park" and owner in held:
             where, _ = held.pop(owner)
             allocators[where].release(owner, keep_prefix=True, now_s=clock)
@@ -332,8 +318,6 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
                 chain.blocks for chain in pool.prefix_chains.values())
             assert pool.used_blocks == pool.prefix_blocks + sum(
                 allocator.holds_resident_blocks(o) for o in owners)
-            assert pool.swapped_blocks == sum(
-                allocator.holds_swapped_blocks(o) for o in owners)
             for chain in pool.prefix_chains.values():
                 readers = [o for o in owners + pinned
                            if allocator.shared_key(o) == chain.key]
@@ -341,9 +325,8 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
                 assert chain.refcount >= 0
             for o in owners:
                 resident = allocator.holds_resident_blocks(o)
-                swapped = allocator.holds_swapped_blocks(o)
-                assert resident >= 0 and swapped >= 0
-                assert resident + swapped + allocator.shared_blocks(o) \
+                assert resident >= 0
+                assert resident + allocator.shared_blocks(o) \
                     == pool.blocks_for(held[o][1]) == allocator.holds_blocks(o)
 
     # Drain: held owners release fully; parked owners resume (which may need
@@ -366,7 +349,6 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
     for side, pool in enumerate(pools):
         for chain in allocators[side].evictable_prefixes():
             allocators[side].evict_prefix(chain.key)
-        assert pool.swapped_blocks == 0
         assert pool.used_blocks == pool.prefix_blocks
         assert pool.free_blocks == pool.num_blocks - pool.prefix_blocks
         for chain in pool.prefix_chains.values():

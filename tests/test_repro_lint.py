@@ -634,8 +634,8 @@ class TestRealTree:
         target = _mutated(
             tmp_path, SRC / "kvstore" / "allocator.py",
             "kvstore/allocator.py",
-            "if recorder is not None and (blocks or swapped):",
-            "if blocks or swapped:")
+            "if recorder is not None and blocks:",
+            "if blocks:")
         assert "telemetry-guard" in rule_ids(lint_paths([target]))
 
     def test_deleting_workload_seed_fires(self, tmp_path):

@@ -80,9 +80,6 @@ SCENARIOS = {
     "paged_swap": dict(admission="paged", preemption_restore="swap"),
     "paged_recompute": dict(admission="paged",
                             preemption_restore="recompute"),
-    "paged_partial_eviction": dict(admission="paged",
-                                   preemption_restore="swap",
-                                   preemption_partial_blocks=2),
     "paged_interleave": dict(admission="paged", preemption_restore="swap",
                              interleave_prefill=True),
 }
@@ -220,8 +217,7 @@ class TestTraceEquivalence:
                         pressure=True), trace)
         assert vec == scalar
 
-    @pytest.mark.parametrize("scenario", ["paged_swap", "paged_recompute",
-                                          "paged_partial_eviction"])
+    @pytest.mark.parametrize("scenario", ["paged_swap", "paged_recompute"])
     def test_streams_identical_with_preemption(self, system, tight_capacity,
                                                scenario):
         """A pool holding ~2 contexts forces evictions; the preempt /

@@ -62,7 +62,7 @@ def run_fingerprint(engine, trace, *, until_points=()):
         tuple((r.state.name, r.finish_time_s, r.first_token_time_s,
                r.last_token_time_s, r.admitted_time_s, r.stall_s,
                r.preempted_count, r.num_swap_outs, r.num_swap_ins,
-               r.swap_time_s, r.recompute_tokens, r.partial_evictions,
+               r.swap_time_s, r.recompute_tokens,
                tuple(r.tbt_samples_s)) for r in run.requests),
     )
 
@@ -73,9 +73,6 @@ SCENARIOS = {
     "paged_swap": dict(admission="paged", preemption_restore="swap"),
     "paged_recompute": dict(admission="paged",
                             preemption_restore="recompute"),
-    "paged_partial_eviction": dict(admission="paged",
-                                   preemption_restore="swap",
-                                   preemption_partial_blocks=2),
     "paged_interleave": dict(admission="paged", preemption_restore="swap",
                              interleave_prefill=True),
 }
