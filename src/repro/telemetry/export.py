@@ -19,6 +19,22 @@ Timestamps are microseconds (the trace-event unit); the whole file is the
 
 The JSONL export is the lossless form: one event per line, time-ordered,
 which ``python -m repro.telemetry`` consumes.
+
+Encoding.  Both writers go through one module-level
+:class:`json.JSONEncoder`, whose ``encode`` runs CPython's C encoder in
+one shot (``json.dump`` would take the pure-Python streaming encoder).
+``write_perfetto`` encodes ``traceEvents`` in fixed slices of
+``_SLICE_EVENTS`` events and writes them in order, so no whole-file string
+is ever built; ``write_jsonl`` encodes one record per line.  The bytes are
+those ``json.dump`` / ``json.dumps`` write.
+
+Arg contract.  Event args are written as recorded, without a conversion
+pass: each value must be a JSON-native scalar (``str``, ``int``,
+``float``, ``bool``, ``None``), a tuple or list of such values, or a numpy
+scalar, which the encoder's ``default=`` hook writes as its ``.item()``.
+Anything else raises :class:`TypeError` from both writers.  Tuples are
+written as JSON arrays, so ``read_jsonl`` (and ``iter_scope_events``)
+return them as lists.
 """
 
 from __future__ import annotations
@@ -26,7 +42,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.telemetry.recorder import ScopedRecorder, TraceRecorder
+from repro.telemetry.recorder import ScopedRecorder, TraceEvent, TraceRecorder
 
 __all__ = [
     "perfetto_trace",
@@ -44,14 +60,41 @@ _LIFECYCLE = ("request.queued", "request.admitted", "request.first_token",
               "request.migrate_out", "request.migrate_in", "serving.preempt")
 
 
-def _jsonable(value: Any) -> Any:
+def _item(value: Any) -> Any:
+    """The encoder's ``default=`` hook: a numpy scalar encodes as its
+    Python value; anything else is not serializable, as in :mod:`json`."""
+    if not hasattr(value, "item"):
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+    return value.item()
+
+
+#: The one encoder both writers use (built once: ``json.dumps`` with a
+#: ``default=`` builds a new ``JSONEncoder`` on every call).
+_ENCODER = json.JSONEncoder(default=_item)
+
+#: Trace events per ``write_perfetto`` encoder call.  Large enough that the
+#: per-call cost vanishes, small enough that one encoded slice, never the
+#: whole file, is the largest string alive.
+_SLICE_EVENTS = 2048
+
+#: Arg types ``read_jsonl`` returns unchanged (``bool`` is listed because
+#: the lookup is by exact type).
+_NATIVE = frozenset((str, int, float, bool, type(None)))
+
+
+def _as_read(value: Any) -> Any:
+    """``value`` as ``read_jsonl`` returns it once written: tuples become
+    lists, numpy scalars their Python value."""
+    if type(value) in _NATIVE:
+        return value
     if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
+        return [item if type(item) in _NATIVE else _as_read(item)
+                for item in value]
     if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return value
+        return {str(key): item if type(item) in _NATIVE else _as_read(item)
+                for key, item in value.items()}
+    return value.item() if hasattr(value, "item") else value
 
 
 def _request_slices(scope: ScopedRecorder) -> List[Dict[str, Any]]:
@@ -103,7 +146,10 @@ def _request_slices(scope: ScopedRecorder) -> List[Dict[str, Any]]:
 
 
 def perfetto_trace(recorder: TraceRecorder) -> Dict[str, Any]:
-    """Render the whole session as a ``trace_event`` JSON object."""
+    """Render the whole session as a ``trace_event`` JSON object.
+
+    Each event's ``args`` is a shallow copy of the recorded args, so
+    tuples and numpy scalars stay as recorded until encoded."""
     recorder.finalize()
     events: List[Dict[str, Any]] = []
     for scope in recorder.scopes:
@@ -122,7 +168,7 @@ def perfetto_trace(recorder: TraceRecorder) -> Dict[str, Any]:
                            "args": {"name": f"request {rid}"}})
         for event in scope.events:
             tid = 0 if event.request_id is None else event.request_id + 1
-            args = _jsonable(event.args) if event.args else {}
+            args = dict(event.args) if event.args else {}
             if event.request_id is not None:
                 args.setdefault("request_id", event.request_id)
             if event.dur_s is not None:
@@ -150,9 +196,26 @@ def perfetto_trace(recorder: TraceRecorder) -> Dict[str, Any]:
 def write_perfetto(recorder: TraceRecorder, path: str) -> int:
     """Write the Perfetto JSON trace; returns the number of trace events."""
     trace = perfetto_trace(recorder)
+    events = trace["traceEvents"]
+    # The envelope is the trace with an empty event list; the events go
+    # between its brackets one encoded slice at a time.
+    head, tail = _ENCODER.encode({**trace, "traceEvents": []}).split("[]", 1)
     with open(path, "w") as handle:
-        json.dump(trace, handle)
-    return len(trace["traceEvents"])
+        handle.write(head + "[")
+        for start in range(0, len(events), _SLICE_EVENTS):
+            if start:
+                handle.write(", ")
+            chunk = _ENCODER.encode(events[start:start + _SLICE_EVENTS])
+            handle.write(chunk[1:-1])
+        handle.write("]" + tail)
+    return len(events)
+
+
+def _record(scope: ScopedRecorder, event: TraceEvent) -> Dict[str, Any]:
+    """One JSONL record; its ``args`` is the event's own dict, not a copy."""
+    record = {"scope": scope.name, "pid": scope.pid}
+    record.update(event.to_dict())
+    return record
 
 
 def write_jsonl(recorder: TraceRecorder, path: str, *,
@@ -161,27 +224,20 @@ def write_jsonl(recorder: TraceRecorder, path: str, *,
     time-ordered).  ``include_queue_signal`` additionally emits one
     ``engine.queue_sample`` line per queue-depth sample (off by default:
     large traces carry far more samples than events)."""
-    count = 0
+    lines = [_record(scope, event) for scope, event in recorder.iter_events()]
+    if include_queue_signal:
+        for scope in recorder.scopes:
+            for ts_s, queued, running in scope.queue_signal:
+                lines.append({"scope": scope.name, "pid": scope.pid,
+                              "name": "engine.queue_sample", "ts_s": ts_s,
+                              "args": {"queued": queued,
+                                       "running": running}})
+        lines.sort(key=lambda item: (item["ts_s"], item["pid"]))
+    encode = _ENCODER.encode
     with open(path, "w") as handle:
-        lines: List[Dict[str, Any]] = []
-        for scope, event in recorder.iter_events():
-            record = {"scope": scope.name, "pid": scope.pid}
-            record.update(event.to_dict())
-            if event.args:
-                record["args"] = _jsonable(event.args)
-            lines.append(record)
-        if include_queue_signal:
-            for scope in recorder.scopes:
-                for ts_s, queued, running in scope.queue_signal:
-                    lines.append({"scope": scope.name, "pid": scope.pid,
-                                  "name": "engine.queue_sample", "ts_s": ts_s,
-                                  "args": {"queued": queued,
-                                           "running": running}})
-            lines.sort(key=lambda item: (item["ts_s"], item["pid"]))
         for record in lines:
-            handle.write(json.dumps(record) + "\n")
-            count += 1
-    return count
+            handle.write(encode(record) + "\n")
+    return len(lines)
 
 
 def read_jsonl(path: str) -> List[Dict[str, Any]]:
@@ -198,8 +254,7 @@ def read_jsonl(path: str) -> List[Dict[str, Any]]:
 def iter_scope_events(recorder: TraceRecorder) -> Iterable[Dict[str, Any]]:
     """In-memory equivalent of ``write_jsonl`` + ``read_jsonl``."""
     for scope, event in recorder.iter_events():
-        record = {"scope": scope.name, "pid": scope.pid}
-        record.update(event.to_dict())
+        record = _record(scope, event)
         if event.args:
-            record["args"] = _jsonable(event.args)
+            record["args"] = _as_read(event.args)
         yield record

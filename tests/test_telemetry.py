@@ -9,8 +9,10 @@ repro.telemetry`` summaries, and the cluster-level control-plane trace
 (epoch spans, rebalance decisions, live-migration correlation events).
 """
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterEngine, TenantSpec
@@ -32,6 +34,7 @@ from repro.telemetry import (
     write_perfetto,
 )
 from repro.telemetry.__main__ import main as telemetry_cli
+from repro.telemetry.export import iter_scope_events
 from repro.telemetry.recorder import TraceEvent
 from repro.workloads import (
     bursty_arrivals,
@@ -497,6 +500,146 @@ class TestClusterTrace:
         assert any(name.startswith("replica-") for name in processes)
         pids = {s.name: s.pid for s in recorder.scopes}
         assert len(pids) == len(set(pids.values()))  # one pid per scope
+
+
+# ------------------------------------------------------ golden export bytes
+
+
+@pytest.fixture(scope="module")
+def cluster_live_recorder(cluster_factory):
+    """Epoch re-placement with live migration: the trace carries the
+    ``rebuilt`` tuple and accepted ``cluster.migrate`` correlation events."""
+    recorder = TraceRecorder()
+    cluster_factory().run(rebalance="epoch", epoch_s=0.05, migration="live",
+                          telemetry=recorder)
+    return recorder
+
+
+def numpy_args_recorder(bad_arg=False):
+    """A hand-built trace whose args are numpy scalars, tuples and
+    JSON-native values (plus, optionally, one unserializable arg)."""
+    recorder = TraceRecorder()
+    scope = recorder.scope("engine")
+    scope.event("custom.instant", 0.5, request_id=3, count=np.int64(7),
+                ratio=np.float64(0.1), half=np.float32(0.1),
+                flag=np.bool_(True), batch=(1, 2, 3), label="x",
+                missing=None)
+    scope.span("custom.span", 0.25, 0.75, count=np.int64(-2),
+               ok=np.bool_(False), batch=(np.int64(4), 5))
+    scope.queue_signal.append((0.5, 1, 2))
+    if bad_arg:
+        scope.event("custom.bad", 1.0, thing=object())
+    return recorder
+
+
+def export_digests(recorder, tmp_path):
+    """SHA-256 of the Perfetto, JSONL and JSONL-with-queue-signal files."""
+    writers = {
+        "perfetto": write_perfetto,
+        "jsonl": write_jsonl,
+        "jsonl_queue": lambda rec, path: write_jsonl(
+            rec, path, include_queue_signal=True),
+    }
+    digests = {}
+    for name, writer in writers.items():
+        path = tmp_path / name
+        writer(recorder, path)
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+class TestExportGoldenDigests:
+    """Export bytes pinned across commits: an exporter rewrite that keeps
+    the format keeps every digest."""
+
+    def test_serving_recorder(self, serving_recorder, tmp_path):
+        assert export_digests(serving_recorder, tmp_path) == {
+            "perfetto": "7095e8832957fc554ca9c6b12a9f39d3"
+                        "c4c785b718c6a2877669478af7ded0d0",
+            "jsonl": "8c1d9aa0cc4f6e1080136e1936acebdf"
+                     "c0d6fc8edaeeb08e1e1bfeb3fd709bcb",
+            "jsonl_queue": "31dd9f61d06a63029e72c4bd9a7b4142"
+                           "bb6ab50ab5f52610de38c6f51f733ebc",
+        }
+
+    def test_cluster_live_migration(self, cluster_live_recorder, tmp_path):
+        events = [event for scope in cluster_live_recorder.scopes
+                  for event in scope.events]
+        assert any(event.name == "cluster.rebalance"
+                   and isinstance(event.args["rebuilt"], tuple)
+                   for event in events)
+        assert any(event.name == "cluster.migrate"
+                   and event.args["mode"] == "live" and event.args["accepted"]
+                   for event in events)
+        assert export_digests(cluster_live_recorder, tmp_path) == {
+            "perfetto": "3e44f010c651cb3bec4268b6c28ce530"
+                        "9fa3d521d2c395cabf3090a334ad56bf",
+            "jsonl": "6e4a0737239abb142edd4b44a9abab78"
+                     "969708ed5ca5b7474decdd4d884370df",
+            "jsonl_queue": "f1f9f7a0ebee88df5056afcda3afaf24"
+                           "67a19699d302bcd44ef3359266aa5f96",
+        }
+
+
+def test_iter_scope_events_matches_read_back(cluster_live_recorder, tmp_path):
+    """``iter_scope_events`` is the in-memory ``write_jsonl`` +
+    ``read_jsonl``: tuples come back as lists, numpy scalars as Python
+    values."""
+    for recorder in (cluster_live_recorder, numpy_args_recorder()):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(recorder, path)
+        assert list(iter_scope_events(recorder)) == read_jsonl(path)
+
+
+class TestExportArgTypes:
+    """Args are JSON-native scalars, tuples of them, or numpy scalars."""
+
+    INSTANT = {"count": 7, "ratio": 0.1, "half": 0.10000000149011612,
+               "flag": True, "batch": [1, 2, 3], "label": "x",
+               "missing": None}
+    SPAN = {"count": -2, "ok": False, "batch": [4, 5]}
+
+    @staticmethod
+    def assert_native(args, expected):
+        def types(value):
+            if isinstance(value, list):
+                return [types(item) for item in value]
+            return type(value)
+
+        assert args == expected
+        assert ({key: types(value) for key, value in args.items()}
+                == {key: types(value) for key, value in expected.items()})
+
+    def test_exports_parse_to_python_values(self, tmp_path):
+        recorder = numpy_args_recorder()
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(recorder, path)
+        for span, instant in (read_jsonl(path),
+                              list(iter_scope_events(recorder))):
+            self.assert_native(span["args"], self.SPAN)
+            self.assert_native(instant["args"], self.INSTANT)
+        path = tmp_path / "trace.json"
+        write_perfetto(recorder, path)
+        loaded = {event["name"]: event["args"]
+                  for event in json.loads(path.read_text())["traceEvents"]}
+        self.assert_native(loaded["custom.span"], self.SPAN)
+        self.assert_native(loaded["custom.instant"],
+                           {**self.INSTANT, "request_id": 3})
+
+    def test_export_bytes(self, tmp_path):
+        assert export_digests(numpy_args_recorder(), tmp_path) == {
+            "perfetto": "edcc5029026fb3e38dd3e07bbbe3b0cb"
+                        "f0bc899187db554532fc3ef5a2528f80",
+            "jsonl": "9dd4f414d3bb5753a23fb58c894edaaa"
+                     "dc83822d87a83ee84d676ed25cdc60a8",
+            "jsonl_queue": "5167ec12078d02cb30255e34f72845be"
+                           "9a5c1507f027711728ed3f1120367e45",
+        }
+
+    @pytest.mark.parametrize("writer", [write_perfetto, write_jsonl])
+    def test_unserializable_arg_raises(self, writer, tmp_path):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            writer(numpy_args_recorder(bad_arg=True), tmp_path / "trace")
 
 
 # ----------------------------------------------------------- result metrics
