@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Closed-loop cluster serving: epoch re-placement + backlog-feedback routing.
+"""Closed-loop cluster serving: epoch re-placement on measured backlog.
 
 Two Llama2-7B tenants share a 12-device pool, but their traffic is
 *phase-shifted*: ``early`` fires a heavy-tailed burst immediately, ``late``
@@ -8,9 +8,9 @@ symmetric, so every static placement splits the pool evenly — and each
 tenant drowns during its own burst while its neighbour's devices idle.
 
 The closed loop (``repro.cluster.control``) pauses every replica at epoch
-boundaries, reads the measured backlog off ``queue_depth_timeline``,
-re-anchors the router's drain model to it, and re-places the pool toward
-the bursting tenant whenever the projected goodput gain beats the migration
+boundaries, measures each tenant's backlog (the tokens its replica still
+owes, plus the epoch's arrivals), and re-places the pool toward the
+bursting tenant whenever the projected goodput gain beats the migration
 stall (model weights reloading over the CXL fabric).  When a re-placement
 dismantles a replica, its in-flight requests' KV is **live-migrated**
 through host memory (``migration="live"``) so they resume at their

@@ -2,10 +2,11 @@
 """Multi-tenant serving: two models share one CXL-PIM device pool.
 
 An interactive Llama2-7B chat tenant and an offline Llama2-13B batch tenant
-share a 16-device pool.  The cluster layer partitions the pool's devices
-per tenant (``sla_aware`` placement gives the tight-SLO, high-priority chat
-tenant headroom), routes every arriving request to a replica, and serves
-each replica with the unmodified continuous-batching engine.  Reported per
+share a 16-device pool.  The cluster layer gives each tenant one replica
+on its own slice of the pool's devices (``sla_aware`` placement gives the
+tight-SLO, high-priority chat tenant headroom), sends every arriving request
+to its tenant's replica, and serves each replica with the unmodified
+continuous-batching engine.  Reported per
 tenant: SLA goodput against that tenant's own latency SLO; reported for the
 pool: aggregate goodput, max-min fairness, Jain's index and utilisation.
 
@@ -54,7 +55,7 @@ def build_tenants():
 
 
 def report(result) -> None:
-    print(f"placement={result.placement_policy}  routing={result.routing_policy}  "
+    print(f"placement={result.placement_policy}  "
           f"devices used {result.devices_used}/{result.pool_devices}")
     for name, tenant in result.tenant_results.items():
         frac = result.tenant_goodput_fractions[name]
@@ -78,7 +79,6 @@ def main() -> None:
     engine = ClusterEngine(
         CentConfig(num_devices=POOL_DEVICES, context_samples=3),
         build_tenants(),
-        routing_policy="sla_deadline",
         context_step=512,
     )
     for placement in ("static", "sla_aware"):

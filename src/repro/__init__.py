@@ -23,8 +23,8 @@ Inference".  It provides:
   with CXL-priced swap or recompute restore (``repro.kvstore``, enabled
   through ``ServingEngine(..., admission="paged")``),
 * multi-tenant cluster serving that shards one device pool across models
-  and traffic classes with placement, routing and admission policies
-  (``repro.cluster``), and
+  and traffic classes, one replica per tenant, with placement policies and
+  closed-loop re-placement (``repro.cluster``), and
 * the evaluation harness regenerating the paper's tables and figures
   (``repro.evaluation``), including serving-mode QoS and multi-tenant
   studies, and

@@ -6,16 +6,19 @@ layer without touching the serving engine's iteration loop:
 
 * :class:`TenantSpec` / :class:`SlaClass` — one consumer of the pool: a
   model, a timed trace, an SLA class and a priority;
-* :class:`ClusterPlacer` — partitions (or time-shares) the pool's devices
-  into per-tenant replicas under ``static`` / ``proportional`` /
-  ``sla_aware`` policies, reusing the mapping layer's plans and capacity
-  validation per replica;
-* :class:`ClusterScheduler` — routes arriving requests to replicas
-  (``round_robin`` / ``least_outstanding`` / ``sla_deadline``) with
-  per-tenant admission and fairness accounting;
+* :class:`ClusterPlacer` — partitions the pool's devices into one replica
+  per tenant under ``static`` / ``proportional`` / ``sla_aware`` policies,
+  reusing the mapping layer's plans and capacity validation per replica
+  (data parallelism inside a share is the plan's own ``dp_replicas``);
+* :class:`ClusterScheduler` — sends each arriving request to its tenant's
+  replica, one routing window at a time;
 * :class:`ClusterEngine` — drives one unmodified
   :class:`~repro.serving.ServingEngine` per replica and folds the outcomes
-  into a :class:`~repro.core.results.ClusterResult`.
+  into a :class:`~repro.core.results.ClusterResult`;
+* :class:`ClusterControlLoop` / :class:`ControlConfig` — the one executor:
+  the open loop is a single unbounded window, the closed loop re-places
+  tenants on observed demand at epoch boundaries and live-migrates the
+  in-flight work of dismantled replicas.
 
 Quickstart (see ``examples/multi_tenant_serving.py``)::
 
@@ -50,14 +53,7 @@ from repro.cluster.placement import (
     ReplicaSpec,
     min_feasible_devices,
 )
-from repro.cluster.scheduler import (
-    ROUTING_POLICIES,
-    ClusterScheduler,
-    ReplicaFeedback,
-    RouterState,
-    RoutingPlan,
-    TenantAccounting,
-)
+from repro.cluster.scheduler import ClusterScheduler
 from repro.cluster.tenant import DEFAULT_SLA_LATENCY_S, SlaClass, TenantSpec
 from repro.core.results import ClusterResult
 
@@ -71,11 +67,6 @@ __all__ = [
     "min_feasible_devices",
     "PLACEMENT_POLICIES",
     "ClusterScheduler",
-    "RoutingPlan",
-    "RouterState",
-    "ReplicaFeedback",
-    "TenantAccounting",
-    "ROUTING_POLICIES",
     "ClusterEngine",
     "ClusterResult",
     "MIGRATION_MODES",

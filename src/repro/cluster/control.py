@@ -1,18 +1,15 @@
-"""Closed-loop cluster control: epoch re-placement and backlog feedback.
+"""Closed-loop cluster control: epoch re-placement on observed demand.
 
-The PR-2 cluster layer is open loop twice over: tenants' device shares are
-fixed for the whole run, and the router's ``least_outstanding`` /
-``sla_deadline`` policies rank replicas by a backlog *model* that never sees
-what the engines actually did.  This module closes both loops around the
-measured signals the serving engine already records:
+Open loop, each tenant's device share is fixed for the whole run.  This
+module closes that loop around the measured signals the serving engine
+already records:
 
-* **Backlog-feedback routing** — the run is segmented into fixed epochs
-  (every replica's :class:`~repro.serving.engine.EngineState` is advanced to
-  the epoch boundary, not to completion), and at each boundary the router's
-  drain-time model is re-anchored to the replica's *measured* backlog (the
-  tail of ``queue_depth_timeline``, the tokens still owed) and *measured*
-  token rate (per-epoch goodput), via
-  :class:`~repro.cluster.scheduler.ReplicaFeedback`.
+* **Epoch segmentation** — the run is cut into fixed epochs: each epoch's
+  arrivals are routed to their tenants' replicas at its start, and every
+  replica's :class:`~repro.serving.engine.EngineState` is advanced to the
+  epoch boundary, not to completion.  At each boundary the loop measures
+  per-epoch goodput, the mean queue depth (``queue_depth_timeline``) and
+  each tenant's backlog (the tokens still owed).
 
 * **Epoch re-placement** — a :class:`RebalancePolicy` re-apportions the
   pool at epoch boundaries from observed demand (measured backlog plus the
@@ -40,10 +37,9 @@ measured signals the serving engine already records:
 
 The open loop (``rebalance="off"`` with no control config, the default
 everywhere) runs through the same :class:`ClusterControlLoop` as one
-unbounded window: the whole merged stream is routed once against the
-uncorrected backlog model, every replica drains, and no epoch boundary is
-ever measured.  ``migration="restart"`` reproduces the pre-live-migration
-closed loop bit-exactly.
+unbounded window: the whole merged stream is routed once, every replica
+drains, and no epoch boundary is ever measured.  ``migration="restart"``
+reproduces the pre-live-migration closed loop bit-exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.placement import ClusterPlacement, ReplicaSpec
-from repro.cluster.scheduler import ReplicaFeedback, RouterState, RoutingPlan
 from repro.core.results import ClusterResult, ServingResult
 from repro.kvstore.preemption import kv_swap_time_s
 from repro.models.memory import ModelMemoryProfile
@@ -106,11 +101,12 @@ class ControlConfig:
     Parameters
     ----------
     epoch_s:
-        Control interval: replicas pause, feedback re-anchors the router,
-        and the rebalancer may act, every this many simulated seconds.
+        Control interval: arrivals are routed, replicas pause and are
+        measured, and the rebalancer may act, every this many simulated
+        seconds.
     rebalance:
         ``"epoch"`` re-places at epoch boundaries; ``"off"`` keeps the
-        initial placement (feedback routing still applies).
+        initial placement (the run is still epoch-segmented and measured).
     migration:
         ``"live"`` (default) swaps a dismantled replica's in-flight KV
         through host memory onto the new replica set, so requests resume
@@ -127,7 +123,8 @@ class ControlConfig:
         Horizon (in epochs) the projected gain of a proposal is priced
         over: observed demand is assumed to persist roughly this long.
     feedback_alpha:
-        EWMA weight of the newest measured replica token rate.
+        EWMA weight of the newest epoch's arrival rate in the observe-only
+        ``cluster.predicted_rate_qps`` forecast.
     max_epochs:
         Safety bound; a run still undrained after this many epochs is
         finished in one final unbounded segment (no further control).
@@ -184,15 +181,16 @@ class RebalanceDecision:
 
 def _replica_signature(spec: ReplicaSpec) -> Tuple:
     """Shape key under which a replica's engine state survives re-placement."""
-    return (spec.tenant_names, spec.model, spec.num_devices)
+    return (spec.tenant_name, spec.model, spec.num_devices)
 
 
 class RebalancePolicy:
     """Observed-demand re-placement with hysteresis and priced migration.
 
-    ``capability_tokens_per_s(names, devices)`` estimates a replica's
-    sustainable token rate (the cluster engine's memoised capability probe)
-    and is the common currency of the gain/cost projection.
+    ``capability_tokens_per_s(tenant_name, devices)`` estimates a
+    replica's sustainable token rate (the cluster engine's memoised
+    capability probe) and is the common currency of the gain/cost
+    projection.
     """
 
     def __init__(self, config: ControlConfig, *, placer, capability_tokens_per_s,
@@ -211,18 +209,13 @@ class RebalancePolicy:
     ) -> float:
         """Tokens/s this placement can deliver against the observed demand.
 
-        Per replica group (same tenants): the group's demand is served up to
-        the summed capability of its replicas; the pool total is the sum
-        over groups.
+        Each tenant's demand is served up to its replica's capability; the
+        pool total is the sum over replicas.
         """
-        group_cap: Dict[Tuple[str, ...], float] = {}
-        for spec in placement.replicas:
-            rate = self.capability(spec.tenant_names, spec.num_devices)
-            group_cap[spec.tenant_names] = group_cap.get(spec.tenant_names, 0.0) + rate
         served = 0.0
-        for names, cap in group_cap.items():
-            demand = sum(demand_tokens_per_s.get(name, 0.0) for name in names)
-            served += min(demand, cap)
+        for spec in placement.replicas:
+            served += min(demand_tokens_per_s.get(spec.tenant_name, 0.0),
+                          self.capability(spec.tenant_name, spec.num_devices))
         return served
 
     # ------------------------------------------------------------------ decide
@@ -247,17 +240,9 @@ class RebalancePolicy:
         if proposal.tenant_devices == current.tenant_devices:
             return None
 
-        available = {}
-        for spec in current.replicas:
-            available[_replica_signature(spec)] = \
-                available.get(_replica_signature(spec), 0) + 1
-        rebuilt: List[ReplicaSpec] = []
-        for spec in proposal.replicas:
-            signature = _replica_signature(spec)
-            if available.get(signature, 0) > 0:
-                available[signature] -= 1
-            else:
-                rebuilt.append(spec)
+        available = {_replica_signature(spec) for spec in current.replicas}
+        rebuilt = [spec for spec in proposal.replicas
+                   if _replica_signature(spec) not in available]
         if not rebuilt:
             # Pure renumbering: every replica shape survives, nothing moves.
             return None
@@ -309,17 +294,10 @@ class _ReplicaRuntime:
     spec: ReplicaSpec
     engine: ServingEngine
     state: EngineState
-    #: ``(tenant name, trace index)`` per fed request, indexed by request id.
-    feed: List[Tuple[str, int]] = field(default_factory=list)
+    #: The tenant's trace index of each fed request, indexed by request id.
+    feed: List[int] = field(default_factory=list)
     #: Telemetry scope this replica's engine records into (``None`` = off).
     scope: Optional[ScopedRecorder] = None
-    #: Router-facing sustained token rate (EWMA of measured, seeded from the
-    #: capability estimate).
-    tokens_per_s: float = 1e-9
-    #: The replica cannot serve before this instant (weight-reload stall).
-    stall_until_s: float = 0.0
-    #: decode_step_tokens at the previous epoch boundary (rate measurement).
-    last_decode_tokens: int = 0
 
     def outstanding_tokens(self) -> float:
         """Tokens still owed to unfinished fed requests (measured backlog)."""
@@ -334,8 +312,8 @@ class ClusterControlLoop:
     Owns the run: initial placement, per-window routing, segmented engine
     advancement, re-placement, migration, and the final
     :class:`~repro.core.results.ClusterResult` aggregation.  ``config=None``
-    is the open loop: a single unbounded window with no feedback, no
-    re-placement and no epoch timeline.  Constructed by
+    is the open loop: a single unbounded window with no boundary
+    measurements, no re-placement and no epoch timeline.  Constructed by
     ``ClusterEngine.run``; not normally instantiated directly.
     """
 
@@ -375,32 +353,18 @@ class ClusterControlLoop:
 
     def _new_runtime(self, spec: ReplicaSpec, *, start_s: float = 0.0,
                      stall_s: float = 0.0) -> _ReplicaRuntime:
-        cluster = self.cluster
-        engine = cluster._engine_for(spec.tenant_names, spec.num_devices, spec.model)
-        by_name = {t.name: t for t in cluster.tenants}
-        planning = [q for name in spec.tenant_names
-                    for q in by_name[name].trace]
+        tenant = self.cluster._tenant_by_name[spec.tenant_name]
+        engine = self.cluster._engine_for(tenant.name, spec.num_devices,
+                                          spec.model)
         scope = self._replica_scope(spec)
         state = engine.begin(
-            [], sla_latency_s=cluster._replica_sla_s(spec),
-            planning_trace=planning, telemetry=scope)
+            [], sla_latency_s=tenant.latency_slo_s,
+            planning_trace=list(tenant.trace), telemetry=scope)
         state.clock = start_s + stall_s
         if scope is not None:
             scope.now_s = state.clock
-        return _ReplicaRuntime(
-            spec=spec,
-            engine=engine,
-            state=state,
-            scope=scope,
-            tokens_per_s=cluster._group_tokens_per_s(
-                spec.tenant_names, spec.num_devices),
-            stall_until_s=start_s + stall_s,
-        )
-
-    def _feed(self, runtime: _ReplicaRuntime, owner: str, index: int,
-              query: Query) -> None:
-        runtime.engine.extend(runtime.state, [query])
-        runtime.feed.append((owner, index))
+        return _ReplicaRuntime(spec=spec, engine=engine, state=state,
+                               scope=scope)
 
     @staticmethod
     def _advance_all(live: Dict[int, "_ReplicaRuntime"],
@@ -412,8 +376,8 @@ class ClusterControlLoop:
 
     # ------------------------------------------------------------------ run
 
-    # One epoch loop whose locals (router state, placement, rate estimator,
-    # migration stats) span every window; a split would thread them all.
+    # One epoch loop whose locals (placement, arrival forecast, migration
+    # stats) span every window; a split would thread them all.
     # repro-lint: ignore[function-length]
     def run(self, placement_policy: Optional[str] = None) -> ClusterResult:
         cluster = self.cluster
@@ -425,7 +389,7 @@ class ClusterControlLoop:
         rebalancer = RebalancePolicy(
             config,
             placer=placer,
-            capability_tokens_per_s=cluster._group_tokens_per_s,
+            capability_tokens_per_s=cluster._tokens_per_s,
             link=cluster.config.link,
         ) if config is not None else None
 
@@ -440,7 +404,6 @@ class ClusterControlLoop:
             for spec in placement.replicas
         }
         archived: List[_ReplicaRuntime] = []
-        router = RouterState()
         sla_by_name = {t.name: t.latency_slo_s for t in tenants}
 
         # The merged offered stream, in arrival order.  The sort is stable,
@@ -454,9 +417,7 @@ class ClusterControlLoop:
         position = 0
         #: Final attempt serving each (tenant, index): (runtime, request id).
         final_attempt: Dict[Tuple[str, int], Tuple[_ReplicaRuntime, int]] = {}
-        cap_rejected: Dict[str, List[Query]] = {t.name: [] for t in tenants}
 
-        feedback: Optional[Dict[int, ReplicaFeedback]] = None
         epoch = 0
         #: EWMA of the offered arrival rate (queries/s per epoch window) —
         #: the observe-only demand forecast surfaced as the
@@ -483,17 +444,15 @@ class ClusterControlLoop:
                 tail = items[position:]
                 position = len(items)
                 plan = cluster.scheduler.route_window(
-                    tenants, placement, self._service_estimator(live),
+                    tenants, placement,
                     stream=[(query, name) for query, name, _ in tail],
-                    state=router,
-                    feedback=feedback,
                     window_start_s=(epoch * config.epoch_s
                                     if config is not None else 0.0),
                     recorder=control_rec,
                 )
                 self._apply_plan(plan, [(q, n) for q, n, _ in tail],
                                  [i for _, _, i in tail], live,
-                                 final_attempt, cap_rejected)
+                                 final_attempt)
                 self._advance_all(live)
                 break
             if (position < len(items)
@@ -518,14 +477,11 @@ class ClusterControlLoop:
                 arrived_tokens[name] += query.total_context
                 position += 1
             plan = cluster.scheduler.route_window(
-                tenants, placement, self._service_estimator(live),
-                stream=window, state=router,
-                feedback=feedback,
-                window_start_s=start_s,
+                tenants, placement, stream=window, window_start_s=start_s,
                 recorder=control_rec,
             )
             self._apply_plan(plan, window, window_indices, live,
-                             final_attempt, cap_rejected)
+                             final_attempt)
 
             # --------------------------------------------- advance one epoch
             self._advance_all(live, until_s=end_s)
@@ -539,28 +495,13 @@ class ClusterControlLoop:
             # its stranded last backlog sample was migrated to the live set —
             # counting it again would hold a phantom backlog forever.
             for runtime in live.values():
-                epoch_goodput += self._window_goodput(
-                    runtime, start_s, end_s, sla_by_name)
+                epoch_goodput += window_decode_tokens(
+                    runtime.state.requests, start_s, end_s,
+                    sla_latency_s=sla_by_name[runtime.spec.tenant_name])
                 epoch_backlog += window_mean_queue_depth(
                     runtime.state.queue_depth_timeline, start_s, end_s)
-            for runtime in live.values():
-                delta = runtime.state.decode_step_tokens - runtime.last_decode_tokens
-                runtime.last_decode_tokens = runtime.state.decode_step_tokens
-                if delta > 0:
-                    measured = delta / config.epoch_s
-                    runtime.tokens_per_s = (
-                        config.feedback_alpha * measured
-                        + (1.0 - config.feedback_alpha) * runtime.tokens_per_s)
-                for request, (owner_name, _) in zip(runtime.state.requests,
-                                                    runtime.feed,
-                                                    strict=True):
-                    if request.state in (RequestState.FINISHED,
-                                         RequestState.REJECTED):
-                        continue
-                    backlog_tokens[owner_name] += (
-                        request.prefill_remaining
-                        + max(request.query.decode_tokens
-                              - request.tokens_generated, 0))
+                backlog_tokens[runtime.spec.tenant_name] += (
+                    runtime.outstanding_tokens())
             epoch_rows.append((start_s, epoch_goodput / config.epoch_s,
                                epoch_backlog))
             if control_rec is not None:
@@ -593,36 +534,24 @@ class ClusterControlLoop:
                             rebuilt=decision.rebuilt_replica_ids)
                     placement = decision.placement
                     live = self._apply_rebalance(
-                        decision, live, archived, router, final_attempt,
+                        decision, live, archived, final_attempt,
                         now_s=end_s, stats=migration_stats)
                     last_rebalance_epoch = epoch
                     num_rebalances += 1
                     migration_stall_s += decision.stall_s
                     rebalance_log.append((end_s, decision.stall_s))
 
-            # -------------------------------------- feedback for next window
-            feedback = {}
-            for replica_id, runtime in live.items():
-                tail = (runtime.state.queue_depth_timeline[-1]
-                        if runtime.state.queue_depth_timeline else (0.0, 0, 0))
-                feedback[replica_id] = ReplicaFeedback(
-                    queued=tail[1],
-                    running=tail[2],
-                    outstanding_tokens=runtime.outstanding_tokens(),
-                    # tokens_per_s is the EWMA blend of measured epochs over
-                    # the capability seed, so it serves as both signals.
-                    observed_tokens_per_s=runtime.tokens_per_s,
-                    estimated_tokens_per_s=runtime.tokens_per_s,
-                    extra_delay_s=max(0.0, runtime.stall_until_s - end_s),
-                )
-                if control_rec is not None:
-                    observed = feedback[replica_id]
+            # ------------------------------------- record each replica's state
+            if control_rec is not None:
+                for runtime in live.values():
+                    tail = (runtime.state.queue_depth_timeline[-1]
+                            if runtime.state.queue_depth_timeline
+                            else (0.0, 0, 0))
                     control_rec.event(
                         "cluster.feedback", end_s,
                         replica=runtime.scope.name,
-                        queued=observed.queued, running=observed.running,
-                        outstanding_tokens=observed.outstanding_tokens,
-                        tokens_per_s=runtime.tokens_per_s)
+                        queued=tail[1], running=tail[2],
+                        outstanding_tokens=runtime.outstanding_tokens())
             predicted_qps = (
                 config.feedback_alpha * (len(window) / config.epoch_s)
                 + (1.0 - config.feedback_alpha) * predicted_qps)
@@ -635,7 +564,7 @@ class ClusterControlLoop:
             epoch += 1
 
         return self._aggregate(placement, runtimes(), final_attempt,
-                               cap_rejected, num_rebalances,
+                               num_rebalances,
                                migration_stall_s, rebalance_log, epoch_rows,
                                migration_stats)
 
@@ -679,10 +608,17 @@ class ClusterControlLoop:
             "serving.finished",
             sum(1 for rt in everyone for r in rt.state.requests
                 if r.state is RequestState.FINISHED))
+        # Count what ``snapshots_from_trace`` replays from the saved trace:
+        # each first token once, by the epoch that emitted it (an iteration
+        # may run past ``end_s``).  A live-migrated copy (``migrated_count``)
+        # has no ``request.queued`` in its scope, so the replay skips it; a
+        # first token it carries was already counted on its source.
         ttfts = sorted(
             request.ttft_s
             for rt in everyone for request in rt.state.requests
-            if request.first_token_time_s is not None)
+            if request.first_token_time_s is not None
+            and request.first_token_time_s <= end_s
+            and request.migrated_count == 0)
         if ttfts:
             metrics.set_gauge("serving.ttft_p99_s",
                               _percentile(ttfts, 0.99))
@@ -690,19 +626,13 @@ class ClusterControlLoop:
         if self.slo_monitor is not None:
             self.slo_monitor.observe(snapshot)
 
-    def _service_estimator(self, live: Dict[int, _ReplicaRuntime]):
-        def estimate(spec: ReplicaSpec, query: Query) -> float:
-            return query.total_context / live[spec.replica_id].tokens_per_s
-        return estimate
-
     def _apply_plan(
         self,
-        plan: RoutingPlan,
+        plan: Dict[int, List[Query]],
         window: List[Tuple[Query, str]],
         window_indices: List[int],
         live: Dict[int, _ReplicaRuntime],
         final_attempt: Dict[Tuple[str, int], Tuple[_ReplicaRuntime, int]],
-        cap_rejected: Dict[str, List[Query]],
     ) -> None:
         """Feed the window's routed queries into their replicas' states."""
         # Recover each routed query's trace index.  Routing preserves query
@@ -712,25 +642,22 @@ class ClusterControlLoop:
         index_queues: Dict[int, Deque[int]] = {}
         for (query, _), index in zip(window, window_indices, strict=True):
             index_queues.setdefault(id(query), deque()).append(index)
-        for replica_id, assigned in plan.assignments.items():
+        for replica_id, assigned in plan.items():
             runtime = live[replica_id]
+            owner = runtime.spec.tenant_name
             # One batch per replica: ``assigned`` is in arrival order, so the
             # requests get the ids and queue order per-query feeds would.
-            requests = runtime.engine.extend(
-                runtime.state, [query for _, query in assigned])
-            for (owner, query), request in zip(assigned, requests, strict=True):
+            requests = runtime.engine.extend(runtime.state, assigned)
+            for query, request in zip(assigned, requests, strict=True):
                 index = index_queues[id(query)].popleft()
-                runtime.feed.append((owner, index))
+                runtime.feed.append(index)
                 final_attempt[(owner, index)] = (runtime, request.request_id)
-        for name, queries in plan.rejected.items():
-            cap_rejected[name].extend(queries)
 
     def _apply_rebalance(
         self,
         decision: RebalanceDecision,
         live: Dict[int, _ReplicaRuntime],
         archived: List[_ReplicaRuntime],
-        router: RouterState,
         final_attempt: Dict[Tuple[str, int], Tuple[_ReplicaRuntime, int]],
         *,
         now_s: float,
@@ -738,26 +665,17 @@ class ClusterControlLoop:
     ) -> Dict[int, _ReplicaRuntime]:
         """Install ``decision.placement``: carry matching replicas' states,
         build the rest (paying the reload stall), migrate stranded work."""
-        pool: Dict[Tuple, List[Tuple[int, _ReplicaRuntime]]] = {}
-        for replica_id, runtime in live.items():
-            pool.setdefault(_replica_signature(runtime.spec), []).append(
-                (replica_id, runtime))
-
+        dismantled = {_replica_signature(rt.spec): rt for rt in live.values()}
         new_live: Dict[int, _ReplicaRuntime] = {}
-        ready_s: Dict[int, float] = {}
+        target_of: Dict[str, _ReplicaRuntime] = {}
         for spec in decision.placement.replicas:
-            matches = pool.get(_replica_signature(spec))
-            if matches:
-                old_id, runtime = matches.pop(0)
-                runtime.spec = spec
-                new_live[spec.replica_id] = runtime
-                ready_s[spec.replica_id] = router.ready_s.get(old_id, now_s)
-            else:
-                new_live[spec.replica_id] = self._new_runtime(
-                    spec, start_s=now_s, stall_s=decision.stall_s)
-                ready_s[spec.replica_id] = now_s + decision.stall_s
-        router.ready_s = ready_s
-        router.robin_pos = {name: 0 for name in router.robin_pos}
+            runtime = dismantled.pop(_replica_signature(spec), None)
+            if runtime is None:
+                runtime = self._new_runtime(spec, start_s=now_s,
+                                            stall_s=decision.stall_s)
+            runtime.spec = spec
+            new_live[spec.replica_id] = runtime
+            target_of[spec.tenant_name] = runtime
 
         # Unfinished work on dismantled replicas moves to the new set.
         # ``migration="live"``: requests with materialised KV swap it
@@ -768,96 +686,59 @@ class ClusterControlLoop:
         live_migration = self.config.migration == "live"
         link = self.cluster.config.link
         control_rec = self._control_rec
-        for signature_matches in pool.values():
-            for _, runtime in signature_matches:
-                archived.append(runtime)
-                for request in runtime.state.unfinished:
-                    owner, index = runtime.feed[request.request_id]
-                    target = self._migration_target(new_live, owner)
-                    request_id = len(target.state.requests)
-                    if (live_migration and request.context_length > 0
-                            and request.restore_remaining == 0):
-                        moved = runtime.engine.migrate_out(
-                            runtime.state, request, now_s=now_s)
-                        landed = target.engine.migrate_in(
-                            target.state, moved, now_s=now_s)
-                        target.feed.append((owner, index))
-                        if control_rec is not None:
-                            control_rec.event(
-                                "cluster.migrate", now_s, request.request_id,
-                                mode="live",
-                                source_scope=runtime.scope.name,
-                                source_request=request.request_id,
-                                dest_scope=target.scope.name,
-                                dest_request=request_id,
-                                accepted=(landed.state
-                                          is not RequestState.REJECTED),
-                                kv_bytes=moved.swap_bytes)
-                        if landed.state is not RequestState.REJECTED:
-                            stats.num_requests += 1
-                            stats.kv_bytes += moved.swap_bytes
-                            stats.restored_tokens += moved.kv_tokens
-                            stats.kv_time_s += moved.swap_out_s
-                            if not moved.swap_in_priced:
-                                # Swap-in priced eagerly with the
-                                # destination's formula (resume charges the
-                                # same value).  A request migrated *again*
-                                # before it ever resumed already priced its
-                                # single eventual swap-in on the first hop,
-                                # so that hop adds nothing here.
-                                stats.kv_time_s += kv_swap_time_s(
-                                    moved.swap_bytes, link,
-                                    pp_stages=target.state.plan.pp_stages)
-                            remaining = (request.prefill_remaining
-                                         + max(request.query.decode_tokens
-                                               - request.tokens_generated, 0))
-                            router.ready_s[target.spec.replica_id] += (
-                                remaining / target.tokens_per_s)
-                    else:
-                        self._feed(target, owner, index, request.query)
-                        if control_rec is not None:
-                            control_rec.event(
-                                "cluster.migrate", now_s, request.request_id,
-                                mode="restart",
-                                source_scope=runtime.scope.name,
-                                source_request=request.request_id,
-                                dest_scope=target.scope.name,
-                                dest_request=request_id)
-                        router.ready_s[target.spec.replica_id] += (
-                            request.query.total_context / target.tokens_per_s)
-                    final_attempt[(owner, index)] = (target, request_id)
+        for runtime in dismantled.values():
+            archived.append(runtime)
+            owner = runtime.spec.tenant_name
+            target = target_of[owner]
+            for request in runtime.state.unfinished:
+                index = runtime.feed[request.request_id]
+                request_id = len(target.state.requests)
+                if (live_migration and request.context_length > 0
+                        and request.restore_remaining == 0):
+                    moved = runtime.engine.migrate_out(
+                        runtime.state, request, now_s=now_s)
+                    landed = target.engine.migrate_in(
+                        target.state, moved, now_s=now_s)
+                    target.feed.append(index)
+                    if control_rec is not None:
+                        control_rec.event(
+                            "cluster.migrate", now_s, request.request_id,
+                            mode="live",
+                            source_scope=runtime.scope.name,
+                            source_request=request.request_id,
+                            dest_scope=target.scope.name,
+                            dest_request=request_id,
+                            accepted=(landed.state
+                                      is not RequestState.REJECTED),
+                            kv_bytes=moved.swap_bytes)
+                    if landed.state is not RequestState.REJECTED:
+                        stats.num_requests += 1
+                        stats.kv_bytes += moved.swap_bytes
+                        stats.restored_tokens += moved.kv_tokens
+                        stats.kv_time_s += moved.swap_out_s
+                        if not moved.swap_in_priced:
+                            # Swap-in priced eagerly with the
+                            # destination's formula (resume charges the
+                            # same value).  A request migrated *again*
+                            # before it ever resumed already priced its
+                            # single eventual swap-in on the first hop,
+                            # so that hop adds nothing here.
+                            stats.kv_time_s += kv_swap_time_s(
+                                moved.swap_bytes, link,
+                                pp_stages=target.state.plan.pp_stages)
+                else:
+                    target.engine.extend(target.state, [request.query])
+                    target.feed.append(index)
+                    if control_rec is not None:
+                        control_rec.event(
+                            "cluster.migrate", now_s, request.request_id,
+                            mode="restart",
+                            source_scope=runtime.scope.name,
+                            source_request=request.request_id,
+                            dest_scope=target.scope.name,
+                            dest_request=request_id)
+                final_attempt[(owner, index)] = (target, request_id)
         return new_live
-
-    @staticmethod
-    def _migration_target(live: Dict[int, _ReplicaRuntime],
-                          owner: str) -> _ReplicaRuntime:
-        """The least-loaded new replica serving ``owner`` (migrations bypass
-        the admission cap: the request was already admitted once)."""
-        candidates = [rt for rt in live.values()
-                      if owner in rt.spec.tenant_names]
-        if not candidates:
-            raise ValueError(
-                f"re-placement left tenant {owner!r} with no replica to "
-                "migrate its in-flight requests to"
-            )
-        return min(candidates,
-                   key=lambda rt: (rt.outstanding_tokens(),
-                                   rt.spec.replica_id))
-
-    def _window_goodput(
-        self,
-        runtime: _ReplicaRuntime,
-        start_s: float,
-        end_s: float,
-        sla_by_name: Dict[str, float],
-    ) -> float:
-        """SLA-compliant decode tokens of ``runtime`` finishing in the window."""
-        total = 0.0
-        for request, (owner, _) in zip(runtime.state.requests, runtime.feed,
-                                       strict=True):
-            total += window_decode_tokens(
-                [request], start_s, end_s, sla_latency_s=sla_by_name[owner])
-        return total
 
     # ------------------------------------------------------------------ results
 
@@ -866,7 +747,6 @@ class ClusterControlLoop:
         placement: ClusterPlacement,
         all_runtimes: List[_ReplicaRuntime],
         final_attempt: Dict[Tuple[str, int], Tuple[_ReplicaRuntime, int]],
-        cap_rejected: Dict[str, List[Query]],
         num_rebalances: int,
         migration_stall_s: float,
         rebalance_log: List[Tuple[float, float]],
@@ -888,14 +768,6 @@ class ClusterControlLoop:
             if id(runtime) not in seen_runtimes[owner]:
                 seen_runtimes[owner].add(id(runtime))
                 tenant_runtimes[owner].append(runtime)
-
-        # Requests refused at the cluster's admission cap never reached an
-        # engine; they join the tenant's result as rejected.
-        for tenant in tenants:
-            for query in cap_rejected[tenant.name]:
-                refused = ServingRequest(len(tenant_requests[tenant.name]), query)
-                refused.state = RequestState.REJECTED
-                tenant_requests[tenant.name].append(refused)
 
         makespan = max((runs[id(rt)].makespan_s for rt in all_runtimes),
                        default=0.0)
@@ -920,7 +792,7 @@ class ClusterControlLoop:
                                 for r in tenant_requests[tenant.name]
                                 if r.finish_time_s is not None), default=0.0),
                 # Replica telemetry, summed over the replicas the tenant
-                # used; replicas time-shared with other tenants count fully.
+                # used (one per placement it lived through).
                 prefill_time_s=sum(run.prefill_time_s for run in used),
                 decode_time_s=sum(run.decode_time_s for run in used),
                 decode_step_tokens=sum(run.decode_step_tokens for run in used),
@@ -934,7 +806,6 @@ class ClusterControlLoop:
 
         return ClusterResult(
             placement_policy=placement.policy,
-            routing_policy=cluster.scheduler.policy,
             pool_devices=placement.pool_devices,
             devices_used=placement.devices_used,
             makespan_s=makespan,

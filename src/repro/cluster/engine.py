@@ -1,10 +1,10 @@
 """Multi-tenant cluster serving on one shared CXL-PIM device pool.
 
 ``ClusterEngine`` holds what every cluster run shares — the tenants, the
-:class:`~repro.cluster.placement.ClusterPlacer` that partitions (or
-time-shares) the pool's devices into replicas, the capability probes that
-size them, the :class:`~repro.cluster.scheduler.ClusterScheduler` that
-routes each arriving request, and one memoised, unmodified
+:class:`~repro.cluster.placement.ClusterPlacer` that partitions the pool's
+devices into one replica per tenant, the capability probes that size them,
+the :class:`~repro.cluster.scheduler.ClusterScheduler` that sends each
+arriving request to its tenant's replica, and one memoised, unmodified
 :class:`~repro.serving.ServingEngine` per replica shape (the cluster layer
 never forks the iteration loop).  :meth:`ClusterEngine.run` validates its
 options and hands the run to :class:`~repro.cluster.control.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster.placement import ClusterPlacer, ReplicaSpec
+from repro.cluster.placement import ClusterPlacer
 from repro.cluster.scheduler import ClusterScheduler
 from repro.cluster.tenant import TenantSpec, resolve_models
 from repro.core.config import CentConfig
@@ -51,11 +51,8 @@ class ClusterEngine:
     tenants:
         The tenant specs to serve.  Tenants without a model use
         ``default_model``.
-    placement_policy / routing_policy:
-        See :data:`~repro.cluster.placement.PLACEMENT_POLICIES` and
-        :data:`~repro.cluster.scheduler.ROUTING_POLICIES`.
-    max_replica_devices / share_replicas:
-        Forwarded to :class:`~repro.cluster.placement.ClusterPlacer`.
+    placement_policy:
+        See :data:`~repro.cluster.placement.PLACEMENT_POLICIES`.
     engine_kwargs:
         Extra keyword arguments for every per-replica ``ServingEngine``
         (e.g. ``prefill_chunk_tokens``, ``context_step``).
@@ -68,91 +65,80 @@ class ClusterEngine:
         *,
         default_model: Optional[ModelConfig] = None,
         placement_policy: str = "proportional",
-        routing_policy: str = "least_outstanding",
-        max_replica_devices: Optional[int] = None,
-        share_replicas: bool = False,
         **engine_kwargs,
     ) -> None:
         self.config = config
         self.tenants = resolve_models(tenants, default_model)
+        self._tenant_by_name = {t.name: t for t in self.tenants}
         self.engine_kwargs = engine_kwargs
         # FIFO-bounded like ServingEngine._setup_cache: the capability trim
         # probes one candidate count per device, and an unbounded engine
         # cache would retain a warmed CentSystem per probe for the engine's
         # lifetime.  Estimates are cheap floats and get a wider bound.
-        self._capability_cache: Dict[Tuple[Tuple[str, ...], int], float] = {}
+        self._capability_cache: Dict[Tuple[str, int], float] = {}
         self._capability_cache_entries = 256
-        self._engine_cache: Dict[Tuple[Tuple[str, ...], int], ServingEngine] = {}
+        self._engine_cache: Dict[Tuple[str, int], ServingEngine] = {}
         # The capability trim probes up to one engine per candidate device
-        # count per tenant group, so the bound scales with the pool: a
-        # fixed small bound would evict the winning probe's engine before
-        # the replicas fetch it, redoing the warm-up the cache exists for.
+        # count per tenant, so the bound scales with the pool: a fixed
+        # small bound would evict the winning probe's engine before the
+        # replicas fetch it, redoing the warm-up the cache exists for.
         self._engine_cache_entries = max(32, 2 * config.num_devices)
-        self._max_replica_devices = max_replica_devices
-        self._share_replicas = share_replicas
         self.placer = self._make_placer(placement_policy)
-        self.scheduler = ClusterScheduler(routing_policy)
+        self.scheduler = ClusterScheduler()
 
     def _make_placer(self, placement_policy: str) -> ClusterPlacer:
         return ClusterPlacer(
             placement_policy,
             channels_per_device=self.config.channels_per_device,
-            max_replica_devices=self._max_replica_devices,
-            share_replicas=self._share_replicas,
             capability=self._capability,
         )
 
     def _engine_for(
-        self, names: Tuple[str, ...], devices: int, model: ModelConfig
+        self, name: str, devices: int, model: ModelConfig
     ) -> ServingEngine:
-        """One serving engine per (tenant group, device count), memoised.
+        """One serving engine per (tenant, device count), memoised.
 
         The capability probe for the winning count and the replica that
         ultimately serves it share this engine, so the probe's ``_setup``
         work (plan search, validation, cost-model warm-up) is done once;
-        replicas of identical shape share it too (the engine keeps no
-        per-run state beyond its caches).
+        a replica rebuilt at the same shape shares it too (the engine keeps
+        no per-run state beyond its caches).
         """
-        key = (names, devices)
+        key = (name, devices)
         if key not in self._engine_cache:
             evict_to_bound(self._engine_cache, self._engine_cache_entries)
             system = CentSystem(self.config.scaled(devices), model)
             self._engine_cache[key] = ServingEngine(system, **self.engine_kwargs)
         return self._engine_cache[key]
 
-    def _capability(self, members: Tuple[TenantSpec, ...], devices: int) -> float:
-        """Estimated sustainable rate (queries/s) of ``members`` on ``devices``.
+    def _capability(self, tenant: TenantSpec, devices: int) -> float:
+        """Estimated sustainable rate (queries/s) of ``tenant`` on ``devices``.
 
         The placer's trim step probes several candidate counts, so results
         are memoised; infeasible counts score zero.
         """
-        key = (tuple(t.name for t in members), devices)
+        key = (tenant.name, devices)
         if key not in self._capability_cache:
             evict_to_bound(self._capability_cache, self._capability_cache_entries)
-            engine = self._engine_for(key[0], devices, members[0].model)
-            trace = [q for tenant in members for q in tenant.trace]
+            engine = self._engine_for(tenant.name, devices, tenant.model)
             try:
-                self._capability_cache[key] = engine.estimated_capacity_qps(trace)
+                self._capability_cache[key] = engine.estimated_capacity_qps(
+                    tenant.trace)
             except MemoryError:
                 self._capability_cache[key] = 0.0
         return self._capability_cache[key]
 
-    def _group_tokens_per_s(self, names: Tuple[str, ...], devices: int) -> float:
-        """Estimated sustained token rate of one replica of ``names``.
+    def _tokens_per_s(self, name: str, devices: int) -> float:
+        """Estimated sustained token rate of tenant ``name`` on ``devices``.
 
-        Converts the memoised :meth:`_capability` estimate (queries/s on
-        the replica's candidate trace — all queries of the tenants it
-        serves) into a token rate; the placer's trim probe for the same
-        (tenants, devices) key already paid for it.  The router's backlog
-        model and the closed-loop rebalancer's gain projection share this
-        one definition.
+        Converts the memoised :meth:`_capability` estimate into a token
+        rate at the tenant's mean query size; the placer's trim probe for
+        the same key already paid for it.  The closed-loop rebalancer's
+        gain projection prices placements in this currency.
         """
-        by_name = {t.name: t for t in self.tenants}
-        members = tuple(by_name[name] for name in names)
-        qps = self._capability(members, devices)
-        tokens = sum(t.offered_tokens for t in members)
-        queries = sum(len(t.trace) for t in members)
-        return max(qps * tokens / queries, 1e-9)
+        tenant = self._tenant_by_name[name]
+        qps = self._capability(tenant, devices)
+        return max(qps * tenant.offered_tokens / len(tenant.trace), 1e-9)
 
     # ------------------------------------------------------------------ run
 
@@ -177,12 +163,12 @@ class ClusterEngine:
 
         Every run executes in :class:`~repro.cluster.control.
         ClusterControlLoop`.  ``rebalance="off"`` (default) with no
-        ``control`` is the open loop: its single unbounded window routes
-        the whole merged stream once against the uncorrected backlog model
-        and drains every replica.  ``rebalance="epoch"`` — or an explicit
-        ``control`` config — segments the run into epochs: backlog-feedback
-        routing plus (unless the config sets ``rebalance="off"``)
-        observed-demand re-placement at epoch boundaries; ``epoch_s``
+        ``control`` is the open loop: its single unbounded window sends the
+        whole merged stream to the tenants' replicas once and drains every
+        replica.  ``rebalance="epoch"`` — or an explicit ``control`` config
+        — segments the run into epochs: each epoch's arrivals are routed at
+        its start, and (unless the config sets ``rebalance="off"``) tenants
+        are re-placed on observed demand at epoch boundaries; ``epoch_s``
         overrides the control interval and ``migration`` selects what
         happens to a dismantled replica's in-flight requests (``"live"``,
         the default, swaps their KV through host memory so they resume at
@@ -241,16 +227,3 @@ class ClusterEngine:
         return ClusterControlLoop(
             self, control, telemetry=telemetry,
             slo_monitor=slo_monitor).run(placement_policy)
-
-    def _replica_sla_s(self, spec: ReplicaSpec) -> Optional[float]:
-        """The strictest member tenant's latency SLO, for the engine's
-        ``sla_deadline`` preemption policy (None when no member has one).
-
-        A time-shared replica serves tenants with different SLOs; deadline
-        slack judged against the tightest bound protects the most urgent
-        traffic, which is the policy's intent.
-        """
-        by_name = {t.name: t for t in self.tenants}
-        slos = [by_name[name].latency_slo_s for name in spec.tenant_names]
-        slos = [s for s in slos if s is not None]
-        return min(slos) if slos else None

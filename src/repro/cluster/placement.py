@@ -1,10 +1,11 @@
 """Partitioning one CXL-PIM device pool into per-tenant serving replicas.
 
-``ClusterPlacer`` carves the pool's devices into replicas, one serving
-engine each, reusing the existing mapping layer: every replica gets a
-contiguous device range, and the plan each replica runs is the same
+``ClusterPlacer`` carves the pool's devices into one replica per tenant,
+one serving engine each, reusing the existing mapping layer: every replica
+gets a contiguous device range, and the plan each replica runs is the same
 throughput plan (with its per-block device map and capacity validation from
-``repro.mapping``) a standalone deployment of that size would choose.
+``repro.mapping``) a standalone deployment of that size would choose.  Data
+parallelism inside a tenant's share is the plan's own (``dp_replicas``).
 
 Three policies cover the interesting regimes of asymmetric sharing:
 
@@ -91,10 +92,10 @@ def min_feasible_devices(
 
 @dataclass(frozen=True)
 class ReplicaSpec:
-    """One serving replica: a device range and the tenants it serves."""
+    """One serving replica: a device range and the tenant it serves."""
 
     replica_id: int
-    tenant_names: Tuple[str, ...]
+    tenant_name: str
     model: ModelConfig
     num_devices: int
     first_device: int
@@ -102,8 +103,6 @@ class ReplicaSpec:
     def __post_init__(self) -> None:
         if self.num_devices <= 0:
             raise ValueError("a replica needs at least one device")
-        if not self.tenant_names:
-            raise ValueError("a replica must serve at least one tenant")
 
     @property
     def device_range(self) -> Tuple[int, int]:
@@ -124,15 +123,9 @@ class ClusterPlacement:
     def devices_used(self) -> int:
         return sum(r.num_devices for r in self.replicas)
 
-    def replicas_for(self, tenant_name: str) -> List[ReplicaSpec]:
-        chosen = [r for r in self.replicas if tenant_name in r.tenant_names]
-        if not chosen:
-            raise KeyError(f"no replica serves tenant {tenant_name!r}")
-        return chosen
-
 
 class ClusterPlacer:
-    """Partitions (or time-shares) the pool's devices across tenants.
+    """Partitions the pool's devices into one replica per tenant.
 
     Parameters
     ----------
@@ -140,20 +133,9 @@ class ClusterPlacer:
         One of :data:`PLACEMENT_POLICIES`.
     channels_per_device:
         PIM channels per device, forwarded to the planner.
-    max_replica_devices:
-        When set, a tenant's allotment is split into several replicas of at
-        most this many devices (each still at or above the model's
-        feasibility floor; allotment devices that fit neither bound stay
-        idle), giving the scheduler real routing choices.  ``None``
-        (default) builds one replica per allotment, leaving intra-replica
-        parallelism to the plan's own data-parallel replicas.
-    share_replicas:
-        When true, tenants serving the *same model* are co-located onto one
-        merged allotment and time-share its replicas through continuous
-        batching, instead of hard-partitioning devices between them.
     capability:
-        Optional estimator ``capability(tenants, devices) -> rate`` of how
-        much traffic the tenant group could sustain on ``devices`` devices.
+        Optional estimator ``capability(tenant, devices) -> rate`` of how
+        much traffic the tenant could sustain on ``devices`` devices.
         Serving capability is **not monotone** in the device count (the
         throughput planner may pick a slower many-replica plan on awkward
         counts), so when an estimator is given each allotment is trimmed to
@@ -168,21 +150,15 @@ class ClusterPlacer:
         policy: str = "proportional",
         *,
         channels_per_device: int = 32,
-        max_replica_devices: Optional[int] = None,
-        share_replicas: bool = False,
-        capability: Optional[Callable[[Tuple[TenantSpec, ...], int], float]] = None,
+        capability: Optional[Callable[[TenantSpec, int], float]] = None,
     ) -> None:
         if policy not in PLACEMENT_POLICIES:
             raise ValueError(
                 f"unknown placement policy {policy!r}; expected one of "
                 f"{PLACEMENT_POLICIES}"
             )
-        if max_replica_devices is not None and max_replica_devices <= 0:
-            raise ValueError("max_replica_devices must be positive")
         self.policy = policy
         self.channels_per_device = channels_per_device
-        self.max_replica_devices = max_replica_devices
-        self.share_replicas = share_replicas
         self.capability = capability
 
     # ------------------------------------------------------------------ weights
@@ -267,41 +243,20 @@ class ClusterPlacer:
         for name in by_remainder[:leftover]:
             alloc[name] += 1
 
-        # Group tenants that time-share replicas (same model, if enabled).
-        groups: List[Tuple[Tuple[TenantSpec, ...], int]] = []
-        if self.share_replicas:
-            # Keyed by the (frozen) ModelConfig itself, not its name: two
-            # what-if variants sharing a name must not be merged onto one
-            # replica serving the wrong weights.
-            by_model: Dict[ModelConfig, List[TenantSpec]] = {}
-            for tenant in tenants:
-                by_model.setdefault(tenant.model, []).append(tenant)
-            for members in by_model.values():
-                groups.append((tuple(members), sum(alloc[t.name] for t in members)))
-        else:
-            groups = [((tenant,), alloc[tenant.name]) for tenant in tenants]
-
         replicas: List[ReplicaSpec] = []
         next_device = 0
-        for members, devices in groups:
-            model = members[0].model
-            floor = max(floors[t.name] for t in members)
-            names = tuple(t.name for t in members)
-            devices = self._effective_devices(members, devices, floor)
-            sizes = self._replica_sizes(devices, floor)
-            deployed = sum(sizes)
-            for t in members:
-                alloc[t.name] = (deployed if self.share_replicas
-                                 else min(alloc[t.name], deployed))
-            for size in sizes:
-                replicas.append(ReplicaSpec(
-                    replica_id=len(replicas),
-                    tenant_names=names,
-                    model=model,
-                    num_devices=size,
-                    first_device=next_device,
-                ))
-                next_device += size
+        for tenant in tenants:
+            devices = self._effective_devices(tenant, alloc[tenant.name],
+                                              floors[tenant.name])
+            alloc[tenant.name] = devices
+            replicas.append(ReplicaSpec(
+                replica_id=len(replicas),
+                tenant_name=tenant.name,
+                model=tenant.model,
+                num_devices=devices,
+                first_device=next_device,
+            ))
+            next_device += devices
 
         return ClusterPlacement(
             policy=self.policy,
@@ -311,39 +266,15 @@ class ClusterPlacer:
         )
 
     def _effective_devices(
-        self, members: Tuple[TenantSpec, ...], devices: int, floor: int
+        self, tenant: TenantSpec, devices: int, floor: int
     ) -> int:
         """Trim one allotment to its best-performing feasible device count.
 
         Without a capability estimator the full grant is used; with one,
         the count maximising estimated sustainable rate wins (ties go to
-        the larger count, which buys KV headroom for free).  The score of a
-        count is evaluated on the replicas it would actually deploy as
-        (one per ``_replica_sizes`` entry), not on a hypothetical single
-        engine of that size.
+        the larger count, which buys KV headroom for free).
         """
         if self.capability is None or devices <= floor:
             return devices
-
-        def rate(candidate: int) -> float:
-            return sum(self.capability(members, size)
-                       for size in self._replica_sizes(candidate, floor))
-
-        return max(range(floor, devices + 1), key=lambda d: (rate(d), d))
-
-    def _replica_sizes(self, devices: int, floor: int) -> List[int]:
-        """Split one allotment into replica device counts.
-
-        Every size honours both bounds — at least the feasibility ``floor``
-        and at most ``max_replica_devices`` — by leaving devices idle when
-        they conflict (a cap below the floor is raised to the floor:
-        feasibility always wins).  The sizes may therefore sum to less than
-        the allotment.
-        """
-        if self.max_replica_devices is None:
-            return [devices]
-        cap = max(self.max_replica_devices, floor)
-        count = max(1, min(math.ceil(devices / cap), devices // floor))
-        used = min(devices, count * cap)
-        base, extra = divmod(used, count)
-        return [base + (1 if i < extra else 0) for i in range(count)]
+        return max(range(floor, devices + 1),
+                   key=lambda d: (self.capability(tenant, d), d))

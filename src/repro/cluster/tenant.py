@@ -55,10 +55,6 @@ class TenantSpec:
     priority:
         Relative weight used by SLA-aware placement; higher is more
         important.
-    max_outstanding:
-        Per-tenant admission cap: at most this many of the tenant's
-        requests may be outstanding (routed but predicted unfinished) at
-        once; excess arrivals are rejected at the cluster boundary.
     """
 
     name: str
@@ -67,7 +63,6 @@ class TenantSpec:
     sla_class: SlaClass = SlaClass.STANDARD
     sla_latency_s: Optional[float] = None
     priority: float = 1.0
-    max_outstanding: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -79,8 +74,6 @@ class TenantSpec:
             raise ValueError("the SLA latency bound must be positive")
         if self.priority <= 0:
             raise ValueError("priority must be positive")
-        if self.max_outstanding is not None and self.max_outstanding <= 0:
-            raise ValueError("max_outstanding must be positive")
 
     def with_model(self, model: ModelConfig) -> "TenantSpec":
         """A copy of this spec with ``model`` filled in."""

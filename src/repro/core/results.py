@@ -419,8 +419,8 @@ class ClusterResult:
 
     Produced by ``repro.cluster``: one :class:`ServingResult` per tenant
     (each against that tenant's own SLA), plus the pool-level aggregates a
-    capacity planner compares placement and routing policies by — aggregate
-    SLA goodput, fairness across tenants, and device-pool utilisation.
+    capacity planner compares placement policies by — aggregate SLA
+    goodput, fairness across tenants, and device-pool utilisation.
 
     Horizon semantics: each tenant's :class:`ServingResult` rates are
     measured over *that tenant's own completion horizon* (so a
@@ -433,14 +433,12 @@ class ClusterResult:
     """
 
     placement_policy: str
-    routing_policy: str
     pool_devices: int
     devices_used: int
     makespan_s: float
     #: Per-tenant measured serving statistics, keyed by tenant name.
     tenant_results: Dict[str, ServingResult] = field(default_factory=dict)
-    #: Devices the placement granted each tenant (shared replicas count fully
-    #: for every tenant sharing them).
+    #: Devices of each tenant's replica in the final placement.
     tenant_devices: Dict[str, int] = field(default_factory=dict)
     #: Decode-token demand of each tenant's full trace (including requests
     #: later rejected), the denominator of the fairness normalisation.

@@ -106,7 +106,6 @@ class CentSystem:
         tenants,
         *,
         placement_policy: str = "proportional",
-        routing_policy: str = "least_outstanding",
         rebalance: str = "off",
         epoch_s=None,
         migration=None,
@@ -115,8 +114,8 @@ class CentSystem:
     ):
         """Serve several tenants' traces on this system's device pool.
 
-        Partitions (or time-shares) ``config.num_devices`` across the
-        tenant specs with :class:`repro.cluster.ClusterEngine`; tenants
+        Partitions ``config.num_devices`` into one replica per tenant spec
+        with :class:`repro.cluster.ClusterEngine`; tenants
         whose spec carries no model serve this system's model.  Returns a
         :class:`~repro.core.results.ClusterResult` with one
         :class:`~repro.core.results.ServingResult` per tenant plus
@@ -124,8 +123,8 @@ class CentSystem:
 
         ``rebalance="epoch"`` (or an explicit
         :class:`~repro.cluster.control.ControlConfig` via ``control``) runs
-        the closed loop: epoch-segmented serving with backlog-feedback
-        routing and observed-demand re-placement.  The default ``"off"``
+        the closed loop: epoch-segmented serving with observed-demand
+        re-placement.  The default ``"off"``
         is the open loop, the same control loop run as one unbounded
         window; ``epoch_s`` and ``migration`` are refused there.
         ``migration`` selects what happens to a dismantled replica's
@@ -141,7 +140,6 @@ class CentSystem:
             tenants,
             default_model=self.model,
             placement_policy=placement_policy,
-            routing_policy=routing_policy,
             **cluster_kwargs,
         )
         return engine.run(rebalance=rebalance, epoch_s=epoch_s,

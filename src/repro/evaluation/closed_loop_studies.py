@@ -6,13 +6,12 @@ burst at t=0, ``late`` fires an equally heavy burst once the first should
 have drained.  Aggregate demand is symmetric, so every static placement
 splits the pool near-evenly and each tenant is overloaded during its own
 burst while its neighbour's devices idle.  The closed loop
-(:mod:`repro.cluster.control`) observes the backlog each epoch, re-places
-the pool toward the bursting tenant (paying the weight-reload stall), and
-routes on measured rather than modelled backlog — delivering more
-SLA-compliant tokens from the same pool.
+(:mod:`repro.cluster.control`) observes the backlog each epoch and
+re-places the pool toward the bursting tenant (paying the weight-reload
+stall), delivering more SLA-compliant tokens from the same pool.
 
 ``rebalance="off"`` runs the identical mix open loop — the same control
-loop as one unbounded window, with no feedback and no re-placement — twice
+loop as one unbounded window, with no re-placement — twice
 and checks the results are bit-exact, so the study doubles as a
 determinism guard for the open loop.
 
@@ -112,7 +111,6 @@ def closed_loop_study(
     burstiness: float = 4.0,
     sla_drain_fraction: float = 0.4,
     epoch_drain_fraction: float = 0.13,
-    routing_policy: str = "least_outstanding",
     seed: int = 2025,
     context_samples: int = 3,
     context_step: int = 512,
@@ -146,7 +144,6 @@ def closed_loop_study(
     engine = ClusterEngine(
         config, tenants,
         default_model=model,
-        routing_policy=routing_policy,
         context_step=context_step,
     )
     if control is None:
@@ -210,7 +207,6 @@ def migration_study(
     burstiness: float = 4.0,
     sla_drain_fraction: float = 0.4,
     epoch_drain_fraction: float = 0.13,
-    routing_policy: str = "least_outstanding",
     seed: int = 2025,
     context_samples: int = 3,
     context_step: int = 512,
@@ -234,7 +230,6 @@ def migration_study(
     engine = ClusterEngine(
         config, tenants,
         default_model=model,
-        routing_policy=routing_policy,
         context_step=context_step,
     )
     results = {

@@ -38,7 +38,6 @@ def multi_tenant_policy_study(
     batch_rate_qps: float = 1.0,
     batch_sla_s: float = 600.0,
     policies: Sequence[str] = PLACEMENT_POLICIES,
-    routing_policy: str = "least_outstanding",
     seed: int = 2025,
     context_samples: int = 3,
     context_step: int = 512,
@@ -103,7 +102,6 @@ def multi_tenant_policy_study(
         config,
         [chat, batch],
         default_model=model,
-        routing_policy=routing_policy,
         context_step=context_step,
     )
 

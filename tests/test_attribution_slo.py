@@ -515,6 +515,23 @@ def overloaded_cluster(small_model):
                          admission="paged", memory_capacity_bytes=tight)
 
 
+def rebalancing_cluster(small_model):
+    """Phase-shifted bursts under reserve admission: the closed loop
+    re-places the pool and moves in-flight requests between replicas."""
+    config = CentConfig(num_devices=6, context_samples=2)
+    tenants = [
+        TenantSpec("early", model=small_model, sla_latency_s=0.2,
+                   trace=with_arrivals(
+                       sharegpt_like_queries(30, seed=5),
+                       bursty_arrivals(30, 400.0, seed=5))),
+        TenantSpec("late", model=small_model, sla_latency_s=0.2,
+                   trace=with_arrivals(
+                       sharegpt_like_queries(30, seed=6),
+                       bursty_arrivals(30, 400.0, seed=6, start_s=0.3))),
+    ]
+    return ClusterEngine(config, tenants, context_step=512)
+
+
 def underloaded_cluster(small_model):
     """Gentle Poisson traffic with a loose SLO: no rule should fire."""
     config = CentConfig(num_devices=6, context_samples=2)
@@ -596,6 +613,29 @@ class TestClusterSloIntegration:
         replayed = [(alert.rule, alert.fired_ts_s, alert.cleared_ts_s)
                     for alert in replay]
         assert replayed == live
+
+    @pytest.mark.parametrize("migration", ["live", "restart"])
+    def test_live_ttft_gauge_matches_trace_replay(self, small_model,
+                                                  migration):
+        """Regression: the live ``serving.ttft_p99_s`` gauge counted first
+        tokens of iterations that ran past the epoch end, and again on each
+        live-migrated copy; the trace replay counts each first token once,
+        in the epoch that emitted it.  Both timelines must agree exactly."""
+        recorder = TraceRecorder()
+        result = rebalancing_cluster(small_model).run(
+            rebalance="epoch", epoch_s=0.05, migration=migration,
+            telemetry=recorder)
+        recorder.finalize()
+        assert result.num_rebalances > 0
+        if migration == "live":
+            assert result.num_migrated_requests > 0
+        pseudo = snapshots_from_trace(iter_scope_events(recorder))
+        live = [snapshot.values.get("serving.ttft_p99_s")
+                for snapshot in result.metrics_timeline]
+        replayed = [snapshot.values.get("serving.ttft_p99_s")
+                    for snapshot in pseudo]
+        assert replayed == live
+        assert [s.ts_s for s in pseudo] == [s.ts_s for s in result.metrics_timeline]
 
     def test_single_engine_trace_has_no_snapshots(self, system):
         recorder = TraceRecorder()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import (
+    PLACEMENT_POLICIES,
     ClusterEngine,
     ClusterPlacer,
     ClusterScheduler,
@@ -11,7 +12,7 @@ from repro.cluster import (
     TenantSpec,
     min_feasible_devices,
 )
-from repro.cluster.placement import ReplicaSpec
+from repro.cluster.placement import ClusterPlacement, ReplicaSpec
 from repro.core.config import CentConfig
 from repro.core.results import ClusterResult, ServingResult
 from repro.core.system import CentSystem
@@ -78,15 +79,35 @@ class TestPlacement:
         floor = min_feasible_devices(small_model, 6)
         assert 1 <= floor <= 6
 
-    def test_devices_conserved_and_floored(self, small_model):
-        placer = ClusterPlacer("proportional")
+    @pytest.mark.parametrize("variant", ["policy", "weights", "trimmed"])
+    @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+    def test_devices_conserved_and_floored(self, small_model, policy, variant):
+        # The trim's capability curve peaks at the floor, so every grant
+        # above it is cut back and the rest of the pool stays idle.
+        placer = ClusterPlacer(
+            policy, capability=(lambda tenant, d: -d) if variant == "trimmed"
+            else None)
         heavy = make_tenant("heavy", count=40, seed=1, model=small_model)
         light = make_tenant("light", count=5, seed=2, model=small_model)
-        placement = placer.place([heavy, light], 6)
-        assert placement.devices_used <= 6
-        assert sum(placement.tenant_devices.values()) == 6
-        floor = min_feasible_devices(small_model, 6)
-        assert all(d >= floor for d in placement.tenant_devices.values())
+        floors = {t.name: min_feasible_devices(small_model, 6,
+                                               context_length=t.max_context)
+                  for t in (heavy, light)}
+        weights = {"heavy": 1.0, "light": 3.0} if variant == "weights" else None
+        # Listed out of name order: replicas follow the tenant list.
+        placement = placer.place([light, heavy], 6, weights=weights)
+        assert [r.tenant_name for r in placement.replicas] == ["light", "heavy"]
+        assert [r.replica_id for r in placement.replicas] == [0, 1]
+        next_device = 0
+        for replica in placement.replicas:
+            assert replica.first_device == next_device
+            next_device = replica.device_range[1]
+            assert (placement.tenant_devices[replica.tenant_name]
+                    == replica.num_devices >= floors[replica.tenant_name])
+        assert placement.devices_used == next_device <= 6
+        if variant == "trimmed":
+            assert placement.tenant_devices == floors
+        else:
+            assert sum(placement.tenant_devices.values()) == 6
 
     def test_proportional_favours_heavy_tenant(self, small_model):
         placer = ClusterPlacer("proportional")
@@ -111,39 +132,10 @@ class TestPlacement:
         placement = placer.place([urgent, lazy], 6)
         assert placement.tenant_devices["urgent"] > placement.tenant_devices["lazy"]
 
-    def test_replica_sizes_respect_cap_and_floor(self, small_model):
-        placer = ClusterPlacer("static", max_replica_devices=2)
-        # floor 2, cap 2, allotment 5: both bounds hold and the odd device
-        # stays idle instead of inflating one replica past the cap.
-        assert placer._replica_sizes(5, 2) == [2, 2]
-        assert placer._replica_sizes(5, 1) == [2, 2, 1]
-        assert placer._replica_sizes(4, 2) == [2, 2]
-        # A cap below the floor is raised to the floor (feasibility wins).
-        tight = ClusterPlacer("static", max_replica_devices=1)
-        assert tight._replica_sizes(5, 2) == [2, 2]
-
-    def test_max_replica_devices_splits_allotment(self, small_model):
-        placer = ClusterPlacer("static", max_replica_devices=1)
-        tenant = make_tenant("t", count=10, model=small_model)
-        placement = placer.place([tenant], 4)
-        assert len(placement.replicas) == 4
-        assert all(r.num_devices == 1 for r in placement.replicas)
-        # Device ranges tile the pool without overlap.
-        ranges = sorted(r.device_range for r in placement.replicas)
-        assert ranges == [(0, 1), (1, 2), (2, 3), (3, 4)]
-
-    def test_share_replicas_merges_same_model(self, small_model):
-        placer = ClusterPlacer("static", share_replicas=True)
-        a = make_tenant("a", count=10, seed=1, model=small_model)
-        b = make_tenant("b", count=10, seed=2, model=small_model)
-        placement = placer.place([a, b], 6)
-        assert len(placement.replicas) == 1
-        assert set(placement.replicas[0].tenant_names) == {"a", "b"}
-
     def test_capability_trims_to_best_count(self, small_model):
         # A capability curve that peaks below the grant: the placer must
         # leave the excess idle rather than deploy the worse mapping.
-        placer = ClusterPlacer("static", capability=lambda members, d: -abs(d - 2))
+        placer = ClusterPlacer("static", capability=lambda tenant, d: -abs(d - 2))
         tenant = make_tenant("t", count=10, model=small_model)
         placement = placer.place([tenant], 5)
         assert placement.tenant_devices["t"] == 2
@@ -163,62 +155,37 @@ class TestPlacement:
 
 
 class TestScheduler:
-    def _replicas(self, model, count):
-        return tuple(
-            ReplicaSpec(replica_id=i, tenant_names=("t",), model=model,
+    @staticmethod
+    def _placement(model, names):
+        replicas = tuple(
+            ReplicaSpec(replica_id=i, tenant_name=name, model=model,
                         num_devices=1, first_device=i)
-            for i in range(count)
-        )
+            for i, name in enumerate(names))
+        return ClusterPlacement(policy="static", pool_devices=len(names),
+                                replicas=replicas,
+                                tenant_devices={name: 1 for name in names})
 
-    def _placement(self, model, count):
-        from repro.cluster.placement import ClusterPlacement
+    def test_routes_each_query_to_its_tenant_replica(self, small_model):
+        a = make_tenant("a", count=5, seed=1, model=small_model)
+        b = make_tenant("b", count=4, seed=2, model=small_model)
+        stream = sorted([(q, "a") for q in a.trace] + [(q, "b") for q in b.trace],
+                        key=lambda item: item[0].arrival_time_s)
+        routed = ClusterScheduler().route_window(
+            [a, b], self._placement(small_model, ["b", "a"]), stream=stream)
+        assert list(routed) == [0, 1]
+        for replica_id, name in ((0, "b"), (1, "a")):
+            assert routed[replica_id] == [q for q, owner in stream
+                                          if owner == name]
 
-        return ClusterPlacement(policy="static", pool_devices=count,
-                                replicas=self._replicas(model, count),
-                                tenant_devices={"t": count})
-
-    def test_round_robin_cycles(self, small_model):
-        tenant = make_tenant("t", count=9, rate=100.0, model=small_model)
-        plan = ClusterScheduler("round_robin").route(
-            [tenant], self._placement(small_model, 3), lambda r, q: 0.1)
-        sizes = sorted(len(v) for v in plan.assignments.values())
-        assert sizes == [3, 3, 3]
-
-    def test_least_outstanding_balances(self, small_model):
-        tenant = make_tenant("t", count=30, rate=1000.0, model=small_model)
-        plan = ClusterScheduler("least_outstanding").route(
-            [tenant], self._placement(small_model, 3), lambda r, q: 0.05)
-        sizes = [len(v) for v in plan.assignments.values()]
-        assert sum(sizes) == 30
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_admission_cap_rejects_excess(self, small_model):
-        queries = [Query(64, 32, arrival_time_s=0.0) for _ in range(6)]
-        tenant = TenantSpec("t", model=small_model, trace=queries, max_outstanding=2)
-        plan = ClusterScheduler("least_outstanding").route(
-            [tenant], self._placement(small_model, 1), lambda r, q: 10.0)
-        assert plan.accounting["t"].routed == 2
-        assert plan.accounting["t"].rejected == 4
-        assert len(plan.rejected["t"]) == 4
-        assert plan.accounting["t"].admitted_fraction == pytest.approx(2 / 6)
-
-    def test_sla_deadline_prefers_meeting_replicas(self, small_model):
-        # Replica 0 is slow (never meets the 1 s SLO), replica 1 is fast:
-        # the deadline-aware router must send traffic to the fast one, while
-        # round robin would alternate.
-        queries = [Query(64, 32, arrival_time_s=0.01 * i) for i in range(10)]
-        tenant = TenantSpec("t", model=small_model, trace=queries, sla_latency_s=1.0)
-        placement = self._placement(small_model, 2)
-        def estimator(r, q):
-            return 5.0 if r.replica_id == 0 else 0.01
-
-        plan = ClusterScheduler("sla_deadline").route([tenant], placement, estimator)
-        assert len(plan.assignments[1]) == 10
-        assert len(plan.assignments[0]) == 0
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterScheduler("random")
+    def test_tenant_without_replica_raises_clear_error(self, small_model):
+        """Regression: a tenant no replica serves must fail loudly, not have
+        its requests silently dropped or die on a bare KeyError."""
+        served = make_tenant("served", count=2, model=small_model)
+        orphan = make_tenant("orphan", count=2, seed=2, model=small_model)
+        with pytest.raises(ValueError, match="no replica serves tenant 'orphan'"):
+            ClusterScheduler().route_window(
+                [served, orphan], self._placement(small_model, ["served"]),
+                stream=[(q, "served") for q in served.trace])
 
 
 class TestClusterEngine:
@@ -259,39 +226,6 @@ class TestClusterEngine:
         assert 0 < result.max_min_goodput_ratio <= 1
         assert 0 < result.jain_fairness_index <= 1
 
-    def test_admission_cap_shows_in_tenant_result(self, small_model, pool_config):
-        system = CentSystem(pool_config, small_model)
-        queries = [Query(64, 256, arrival_time_s=0.0) for _ in range(8)]
-        capped = TenantSpec("capped", trace=queries, max_outstanding=2)
-        other = make_tenant("other", count=4, seed=3, sla_latency_s=10.0)
-        result = system.serve_cluster([capped, other])
-        tenant = result.tenant_results["capped"]
-        assert tenant.num_requests == 8
-        assert tenant.num_rejected > 0
-        assert tenant.num_completed + tenant.num_rejected == 8
-
-    def test_routed_replicas_share_one_pool(self, small_model, pool_config):
-        system = CentSystem(pool_config, small_model)
-        result = system.serve_cluster(
-            [make_tenant("t", count=20, rate=200.0, sla_latency_s=5.0)],
-            max_replica_devices=2,
-            routing_policy="round_robin",
-        )
-        assert result.devices_used <= pool_config.num_devices
-        assert result.tenant_results["t"].num_completed == 20
-
-    def test_share_replicas_time_share_same_model(self, small_model, pool_config):
-        system = CentSystem(pool_config, small_model)
-        result = system.serve_cluster(
-            [make_tenant("a", count=10, seed=1, sla_latency_s=10.0),
-             make_tenant("b", count=10, seed=2, sla_latency_s=10.0)],
-            share_replicas=True,
-        )
-        for tenant_result in result.tenant_results.values():
-            assert tenant_result.num_completed == 10
-        # Both tenants time-share every device of the merged allotment.
-        assert result.tenant_devices["a"] == result.tenant_devices["b"]
-
     def test_duplicate_tenant_names_rejected(self, small_model, pool_config):
         system = CentSystem(pool_config, small_model)
         tenant = make_tenant("dup", count=2)
@@ -314,31 +248,22 @@ class TestOpenLoopIsOneUnboundedEpoch:
         assert open_loop.epoch_s is None and open_loop.epoch_timeline == ()
         assert len(one_epoch.epoch_timeline) == 1
 
-    @pytest.mark.parametrize("routing_policy",
-                             ["round_robin", "least_outstanding"])
-    def test_tenant_spread_over_replicas(self, small_model, pool_config,
-                                         routing_policy):
-        engine = ClusterEngine(
-            pool_config,
-            [make_tenant("t", count=30, rate=200.0, seed=3, model=small_model,
-                         sla_latency_s=5.0)],
-            routing_policy=routing_policy, max_replica_devices=2,
-            context_step=512)
-        assert len(engine.placer.place(engine.tenants,
-                                       pool_config.num_devices).replicas) > 1
-        self.assert_same_run(engine)
-
-    def test_shared_replica_with_tied_arrivals(self, small_model, pool_config):
-        """Tenants listed out of name order, all arriving at t=0 on one
-        time-shared replica: ties resolve by tenant list position."""
+    @pytest.mark.parametrize("admission", ["reserve", "paged"])
+    def test_own_replicas_with_tied_arrivals(self, small_model, pool_config,
+                                             admission):
+        """Tenants listed out of name order, all arriving at t=0, each on
+        its own replica: ties resolve by tenant list position."""
         z = TenantSpec("z", model=small_model, sla_latency_s=10.0,
                        trace=[Query(512, 64, arrival_time_s=0.0)
                               for _ in range(6)])
         a = TenantSpec("a", model=small_model, sla_latency_s=10.0,
                        trace=[Query(64, 256, arrival_time_s=0.0)
                               for _ in range(6)])
-        engine = ClusterEngine(pool_config, [z, a], share_replicas=True,
-                               context_step=512)
+        engine = ClusterEngine(pool_config, [z, a], context_step=512,
+                               admission=admission)
+        replicas = engine.placer.place(engine.tenants,
+                                       pool_config.num_devices).replicas
+        assert [r.tenant_name for r in replicas] == ["z", "a"]
         self.assert_same_run(engine)
 
 
@@ -350,7 +275,7 @@ class TestClusterResultMetrics:
                               num_completed=0, num_rejected=4, makespan_s=1.0,
                               sla_latency_s=1.0)
         collapsed = ClusterResult(
-            placement_policy="static", routing_policy="round_robin",
+            placement_policy="static",
             pool_devices=4, devices_used=4, makespan_s=1.0,
             tenant_results={"a": empty, "b": empty},
             tenant_devices={"a": 2, "b": 2},

@@ -6,15 +6,12 @@ from repro.cluster import (
     MIGRATION_MODES,
     ClusterEngine,
     ClusterPlacer,
-    ClusterScheduler,
     ControlConfig,
     RebalancePolicy,
-    ReplicaFeedback,
-    RouterState,
     TenantSpec,
     weight_reload_time_s,
 )
-from repro.cluster.placement import ClusterPlacement, ReplicaSpec
+from repro.cluster.placement import ReplicaSpec
 from repro.core.config import CentConfig
 from repro.core.system import CentSystem
 from repro.evaluation import closed_loop_study
@@ -79,140 +76,6 @@ class TestControlConfig:
             engine.run(rebalance="sometimes")
 
 
-# ------------------------------------------------------------------- feedback
-
-
-class TestReplicaFeedback:
-    def test_drain_time(self):
-        observed = ReplicaFeedback(outstanding_tokens=500.0,
-                                   observed_tokens_per_s=100.0)
-        assert observed.drain_s() == pytest.approx(5.0)
-
-    def test_falls_back_to_estimate(self):
-        observed = ReplicaFeedback(outstanding_tokens=500.0,
-                                   estimated_tokens_per_s=50.0)
-        assert observed.drain_s() == pytest.approx(10.0)
-
-    def test_stuck_backlog_is_infinite(self):
-        assert ReplicaFeedback(outstanding_tokens=1.0).drain_s() == float("inf")
-
-    def test_empty_backlog_costs_only_the_stall(self):
-        assert ReplicaFeedback().drain_s() == 0.0
-        assert ReplicaFeedback(extra_delay_s=2.0).drain_s() == 2.0
-
-    def test_stall_delays_drain(self):
-        observed = ReplicaFeedback(outstanding_tokens=100.0,
-                                   observed_tokens_per_s=100.0,
-                                   extra_delay_s=3.0)
-        assert observed.drain_s() == pytest.approx(4.0)
-
-
-def make_placement(model, tenant_names, sizes):
-    replicas = []
-    offset = 0
-    for index, (names, size) in enumerate(zip(tenant_names, sizes, strict=True)):
-        replicas.append(ReplicaSpec(replica_id=index, tenant_names=names,
-                                    model=model, num_devices=size,
-                                    first_device=offset))
-        offset += size
-    devices = {}
-    for spec in replicas:
-        for name in spec.tenant_names:
-            devices[name] = devices.get(name, 0) + spec.num_devices
-    return ClusterPlacement(policy="static", pool_devices=offset,
-                            replicas=tuple(replicas), tenant_devices=devices)
-
-
-class TestFeedbackRouting:
-    def test_feedback_reanchors_backlog(self, small_model):
-        """A replica the open-loop model thinks idle but that measures a deep
-        backlog must lose least_outstanding traffic after feedback."""
-        trace = timed_trace(6, 100.0)
-        tenant = TenantSpec("t", model=small_model, trace=trace)
-        placement = make_placement(small_model, [("t",), ("t",)], [1, 1])
-        scheduler = ClusterScheduler("least_outstanding")
-
-        def estimator(spec, query):
-            return 0.01
-
-        # Open loop: traffic alternates between the two replicas.
-        open_plan = scheduler.route([tenant], placement, estimator)
-        assert open_plan.assignments[0] and open_plan.assignments[1]
-
-        # Closed loop: replica 0 reports a huge measured backlog.
-        state = RouterState()
-        feedback = {0: ReplicaFeedback(outstanding_tokens=1e6,
-                                       observed_tokens_per_s=1.0),
-                    1: ReplicaFeedback()}
-        stream = [(q, "t") for q in trace]
-        closed_plan = scheduler.route_window(
-            [tenant], placement, estimator, stream=stream, state=state,
-            feedback=feedback, window_start_s=0.0)
-        assert not closed_plan.assignments[0]
-        assert len(closed_plan.assignments[1]) == len(trace)
-
-    def test_route_window_carries_state(self, small_model):
-        """Two windows routed with carried state equal one open-loop pass."""
-        trace = timed_trace(10, 50.0)
-        tenant = TenantSpec("t", model=small_model, trace=trace)
-        placement = make_placement(small_model, [("t",), ("t",)], [1, 1])
-        scheduler = ClusterScheduler("least_outstanding")
-
-        def estimator(spec, query):
-            return query.total_context / 1000.0
-
-        whole = scheduler.route([tenant], placement, estimator)
-
-        state = RouterState()
-        split = len(trace) // 2
-        ordered = sorted(trace, key=lambda q: q.arrival_time_s)
-        first = scheduler.route_window(
-            [tenant], placement, estimator,
-            stream=[(q, "t") for q in ordered[:split]], state=state)
-        second = scheduler.route_window(
-            [tenant], placement, estimator,
-            stream=[(q, "t") for q in ordered[split:]], state=state)
-        for replica_id in (0, 1):
-            joined = first.assignments[replica_id] + second.assignments[replica_id]
-            assert joined == whole.assignments[replica_id]
-
-    def test_admission_cap_carries_across_windows(self, small_model):
-        trace = timed_trace(8, 1000.0)
-        tenant = TenantSpec("t", model=small_model, trace=trace,
-                            max_outstanding=2)
-        placement = make_placement(small_model, [("t",)], [1])
-        scheduler = ClusterScheduler("least_outstanding")
-
-        def estimator(spec, query):
-            return 1e6  # nothing ever drains
-
-        whole = scheduler.route([tenant], placement, estimator)
-        state = RouterState()
-        ordered = sorted(trace, key=lambda q: q.arrival_time_s)
-        windows = [ordered[:3], ordered[3:5], ordered[5:]]
-        routed = rejected = 0
-        for window in windows:
-            plan = scheduler.route_window(
-                [tenant], placement, estimator,
-                stream=[(q, "t") for q in window], state=state)
-            routed += plan.accounting["t"].routed
-            rejected += plan.accounting["t"].rejected
-        assert routed == whole.accounting["t"].routed == 2
-        assert rejected == whole.accounting["t"].rejected == len(trace) - 2
-
-    def test_empty_replica_list_raises_clear_error(self, small_model):
-        """Regression: a tenant whose replica list is empty must fail loudly,
-        not have its requests silently dropped or die on a bare KeyError."""
-        served = TenantSpec("served", model=small_model, trace=timed_trace(2, 5.0))
-        orphan = TenantSpec("orphan", model=small_model,
-                            trace=timed_trace(2, 5.0, seed=2),
-                            max_outstanding=1)
-        placement = make_placement(small_model, [("served",)], [2])
-        scheduler = ClusterScheduler("least_outstanding")
-        with pytest.raises(ValueError, match="no replica serves tenant 'orphan'"):
-            scheduler.route([served, orphan], placement, lambda spec, q: 0.1)
-
-
 # ------------------------------------------------------------------ rebalance
 
 
@@ -273,9 +136,9 @@ class TestRebalancePolicy:
     def test_weight_reload_faster_with_more_devices(self, small_model):
         link = CentConfig(num_devices=8).link
         one = weight_reload_time_s(
-            ReplicaSpec(0, ("t",), small_model, 1, 0), link)
+            ReplicaSpec(0, "t", small_model, 1, 0), link)
         four = weight_reload_time_s(
-            ReplicaSpec(0, ("t",), small_model, 4, 0), link)
+            ReplicaSpec(0, "t", small_model, 4, 0), link)
         assert one > four > 0
 
 
@@ -644,10 +507,10 @@ class TestClusterLiveMigration:
     def test_cluster_result_migration_validation(self):
         from repro.core.results import ClusterResult
         with pytest.raises(ValueError, match="migration accounting"):
-            ClusterResult("static", "round_robin", 2, 2, 1.0,
+            ClusterResult("static", 2, 2, 1.0,
                           num_migrated_requests=-1)
         with pytest.raises(ValueError, match="migration accounting"):
-            ClusterResult("static", "round_robin", 2, 2, 1.0,
+            ClusterResult("static", 2, 2, 1.0,
                           migrated_kv_bytes=-5)
 
 
@@ -846,9 +709,9 @@ class TestClosedLoop:
     def test_cluster_result_rebalance_validation(self):
         from repro.core.results import ClusterResult
         with pytest.raises(ValueError, match="epoch_s"):
-            ClusterResult("static", "round_robin", 2, 2, 1.0, epoch_s=0.0)
+            ClusterResult("static", 2, 2, 1.0, epoch_s=0.0)
         with pytest.raises(ValueError):
-            ClusterResult("static", "round_robin", 2, 2, 1.0, num_rebalances=-1)
+            ClusterResult("static", 2, 2, 1.0, num_rebalances=-1)
         with pytest.raises(ValueError):
-            ClusterResult("static", "round_robin", 2, 2, 1.0,
+            ClusterResult("static", 2, 2, 1.0,
                           migration_stall_s=-0.5)

@@ -584,22 +584,3 @@ class TestClusterPropagation:
         assert result.total_preemptions == tenant.num_preemptions
         assert result.total_swap_time_s == tenant.swap_time_s
         assert result.total_preemption_stall_s == tenant.preemption_stall_time_s
-
-    def test_replica_sla_is_strictest_member_slo(self, small_model):
-        from repro.cluster.engine import ClusterEngine
-        from repro.cluster.placement import ReplicaSpec
-        from repro.cluster.tenant import TenantSpec
-
-        trace = fixed_queries(4, prompt_tokens=64, decode_tokens=32)
-        tight = TenantSpec("tight", trace=trace, sla_latency_s=2.0)
-        loose = TenantSpec("loose", trace=trace, sla_latency_s=30.0)
-        engine = ClusterEngine(CentConfig(num_devices=4, context_samples=2),
-                               [tight, loose], default_model=small_model)
-        shared = ReplicaSpec(replica_id=0, tenant_names=("tight", "loose"),
-                             model=small_model, num_devices=2, first_device=0)
-        # The sla_deadline preemption policy judges slack on a time-shared
-        # replica against its strictest member tenant's SLO.
-        assert engine._replica_sla_s(shared) == 2.0
-        solo = ReplicaSpec(replica_id=1, tenant_names=("loose",),
-                           model=small_model, num_devices=2, first_device=2)
-        assert engine._replica_sla_s(solo) == 30.0

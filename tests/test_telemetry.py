@@ -572,12 +572,12 @@ class TestExportGoldenDigests:
                    and event.args["mode"] == "live" and event.args["accepted"]
                    for event in events)
         assert export_digests(cluster_live_recorder, tmp_path) == {
-            "perfetto": "3e44f010c651cb3bec4268b6c28ce530"
-                        "9fa3d521d2c395cabf3090a334ad56bf",
-            "jsonl": "6e4a0737239abb142edd4b44a9abab78"
-                     "969708ed5ca5b7474decdd4d884370df",
-            "jsonl_queue": "f1f9f7a0ebee88df5056afcda3afaf24"
-                           "67a19699d302bcd44ef3359266aa5f96",
+            "perfetto": "21cc36090806df70b6f958fa8aeb6a36"
+                        "26ec0934866983a647db53de0f94458c",
+            "jsonl": "47f080baf9bfc8b57efc90d91842fb85"
+                     "75e28490266bcd09e7f69cbe1469f5bc",
+            "jsonl_queue": "cf05b6970ab3a50efbf0f44330a85a02"
+                           "44e7fc74783734bb4d9cabe60a5758ab",
         }
 
 
