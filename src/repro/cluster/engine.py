@@ -22,6 +22,7 @@ the same deployment.
 
 from __future__ import annotations
 
+import inspect
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster.placement import ClusterPlacer
@@ -38,6 +39,10 @@ from repro.serving.metrics import aggregate_serving_result  # noqa: F401
 from repro.telemetry.recorder import TraceRecorder
 
 __all__ = ["ClusterEngine"]
+
+#: Keywords a ``ClusterEngine`` forwards to every replica's ``ServingEngine``.
+_ENGINE_OPTIONS = frozenset(
+    inspect.signature(ServingEngine).parameters) - {"system"}
 
 
 class ClusterEngine:
@@ -67,6 +72,13 @@ class ClusterEngine:
         placement_policy: str = "proportional",
         **engine_kwargs,
     ) -> None:
+        unknown = sorted(set(engine_kwargs) - _ENGINE_OPTIONS)
+        if unknown:
+            raise TypeError(
+                f"ClusterEngine got unexpected keyword argument(s) {unknown}; "
+                f"extra keywords go to ServingEngine, which takes "
+                f"{sorted(_ENGINE_OPTIONS)}"
+            )
         self.config = config
         self.tenants = resolve_models(tenants, default_model)
         self._tenant_by_name = {t.name: t for t in self.tenants}

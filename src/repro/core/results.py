@@ -35,6 +35,28 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return float(np.percentile(values, q))
 
 
+#: Samples per ``cumsum`` slice of :func:`_left_fold`; bounds its scratch.
+FOLD_CHUNK = 1 << 16
+
+
+def _left_fold(values: np.ndarray) -> float:
+    """``values[0] + values[1] + ...`` folded left to right.
+
+    Each slice's ``cumsum`` is seeded with the running total, so the result
+    has the bits of one full-length ``cumsum`` without its full-size
+    temporary.
+    """
+    scratch = np.empty(min(values.size, FOLD_CHUNK) + 1)
+    total = values[0]
+    for start in range(1, values.size, FOLD_CHUNK):
+        chunk = values[start:start + FOLD_CHUNK]
+        seeded = scratch[:chunk.size + 1]
+        seeded[0] = total
+        seeded[1:] = chunk
+        total = np.cumsum(seeded, out=seeded)[-1]
+    return float(total)
+
+
 @dataclass(frozen=True)
 class LatencyStats:
     """Summary statistics of a latency sample set (all values in seconds)."""
@@ -48,17 +70,23 @@ class LatencyStats:
 
     @classmethod
     def from_samples(cls, samples: Sequence[float]) -> "LatencyStats":
-        # One list→array conversion feeds every statistic (np.percentile
-        # would otherwise convert again); the mean stays a sequential
-        # left fold (cumsum) so it matches the former builtin-sum value
-        # bit for bit on every sample order.
+        """Summary statistics of ``samples``.
+
+        The mean is the sequential left fold ``s[0] + s[1] + ...`` (the
+        builtin ``sum`` order) bit for bit; the percentiles are
+        ``np.percentile``'s.  A float64 array is used as is and left
+        reordered (the percentiles partition it in place rather than copy
+        it), so pass a copy to keep its order.
+        """
         values = np.asarray(samples, dtype=np.float64)
         if values.size == 0:
             return cls()
-        p50, p90, p99 = np.percentile(values, [50.0, 90.0, 99.0])
+        mean_s = _left_fold(values) / values.size
+        p50, p90, p99 = np.percentile(values, [50.0, 90.0, 99.0],
+                                      overwrite_input=True)
         return cls(
             count=int(values.size),
-            mean_s=float(values.cumsum()[-1]) / values.size,
+            mean_s=mean_s,
             p50_s=float(p50),
             p90_s=float(p90),
             p99_s=float(p99),

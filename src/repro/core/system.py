@@ -110,6 +110,8 @@ class CentSystem:
         epoch_s=None,
         migration=None,
         control=None,
+        telemetry=None,
+        slo_monitor=None,
         **cluster_kwargs,
     ):
         """Serve several tenants' traces on this system's device pool.
@@ -130,7 +132,10 @@ class CentSystem:
         ``migration`` selects what happens to a dismantled replica's
         in-flight requests on re-placement: ``"live"`` (default) swaps
         their KV through host memory so they resume at their original
-        progress, ``"restart"`` re-runs them.
+        progress, ``"restart"`` re-runs them.  ``telemetry`` and
+        ``slo_monitor`` are :meth:`ClusterEngine.run
+        <repro.cluster.ClusterEngine.run>`'s; every other keyword goes to
+        the :class:`~repro.cluster.ClusterEngine` constructor.
         """
         # Imported here: repro.cluster builds on repro.core.system.
         from repro.cluster.engine import ClusterEngine
@@ -143,7 +148,8 @@ class CentSystem:
             **cluster_kwargs,
         )
         return engine.run(rebalance=rebalance, epoch_s=epoch_s,
-                          migration=migration, control=control)
+                          migration=migration, control=control,
+                          telemetry=telemetry, slo_monitor=slo_monitor)
 
     # ------------------------------------------------------------------ capacity
 

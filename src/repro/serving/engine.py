@@ -970,6 +970,7 @@ class ServingEngine:
             admission=self._admission_type(self, plan, kv_budget, recorder,
                                            sla_latency_s),
             bytes_per_token=self._profile.kv_cache_bytes_per_token(),
+            columns=RequestColumns.sized_for(queries),
             # Weights are resident for the whole run (feasibility checked
             # above), even if every request ends up rejected.
             peak_memory=weight_bytes,
@@ -1360,13 +1361,14 @@ class ServingEngine:
         if steps > 1:
             self._sample_window(state, clocks, span, steps)
         # Every request's first in-window gap runs from its own last token;
-        # the later gaps are the shared clock deltas.
-        first_gap = (clocks[1] - cols.last_token_time_s[rows]).tolist()
-        shared_tail = (clocks[2:steps + 1] - clocks[1:steps]).tolist()
-        for request, gap in zip(running, first_gap, strict=True):
-            samples = request.tbt_samples_s
-            samples.append(gap)
-            samples.extend(shared_tail)
+        # the later gaps are the shared clock deltas, broadcast over the
+        # rows' next sample slots.
+        cursor = cols.tbt_offset[rows] + (gen - 1)
+        samples = cols.tbt_samples
+        samples[cursor] = clocks[1] - cols.last_token_time_s[rows]
+        if steps > 1:
+            samples[cursor[:, None] + np.arange(1, steps)] = (
+                clocks[2:steps + 1] - clocks[1:steps])
         cols.tokens_generated[rows] = gen + steps
         cols.last_token_time_s[rows] = clock_end
         decode_fold = np.empty(steps + 1)
@@ -1518,19 +1520,17 @@ class ServingEngine:
         # can newly finish: the decode batch plus the completed prefills.
         if batch_rows is not None:
             cols = state.columns
-            cols.tokens_generated[batch_rows] += 1
-            gaps = (clock - cols.last_token_time_s[batch_rows]).tolist()
-            for request, gap in zip(decode_batch, gaps, strict=True):
-                request.tbt_samples_s.append(gap)
+            gen = cols.tokens_generated[batch_rows]
+            cols.tbt_samples[cols.tbt_offset[batch_rows] + (gen - 1)] = (
+                clock - cols.last_token_time_s[batch_rows])
+            cols.tokens_generated[batch_rows] = gen + 1
             cols.last_token_time_s[batch_rows] = clock
             finished = [decode_batch[i] for i in np.flatnonzero(
                 cols.tokens_generated[batch_rows]
                 >= cols.decode_tokens[batch_rows]).tolist()]
         else:
             for request in decode_batch:
-                request.tokens_generated += 1
-                request.tbt_samples_s.append(clock - request.last_token_time_s)
-                request.last_token_time_s = clock
+                request.emit_token(clock)
             finished = [r for r in decode_batch
                         if r.tokens_generated >= r.query.decode_tokens]
         for request in prefill_completed:
@@ -1669,7 +1669,10 @@ class ServingEngine:
         state.requests.append(request)
         for name in _CARRIED_FIELDS:
             setattr(request, name, getattr(moved, name))
-        request.tbt_samples_s = list(moved.tbt_samples_s)
+        # The carried history fills the new row's first reserved slots.
+        start = int(state.columns.tbt_offset[request.row])
+        state.columns.tbt_samples[start:start + len(moved.tbt_samples_s)] = (
+            moved.tbt_samples_s)
         request.migrated_count += 1
         request.migrated_kv_bytes += moved.swap_bytes
         rec = state.recorder

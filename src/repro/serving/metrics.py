@@ -8,8 +8,10 @@ drains.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import compress, groupby
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.results import LatencyStats, ServingResult, percentile
 from repro.serving.request import RequestState, ServingRequest
@@ -121,6 +123,30 @@ def merge_queue_depth_timelines(
     return merged
 
 
+def _completed_samples(
+    completed: Sequence[ServingRequest],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TTFT, query-latency and TBT samples of ``completed``, in request
+    order, as new float64 arrays gathered straight out of each request
+    store's columns.  The TBT samples dominate result volume on
+    long-generation traces (one per generated token), so they are copied
+    exactly once.  An unset timestamp (NaN) yields no sample, like the
+    ``None`` of :attr:`ServingRequest.ttft_s`."""
+    tbt, first, finish, arrival = [], [], [], []
+    for columns, group in groupby(completed, key=lambda r: r.columns):
+        rows = np.fromiter((r.row for r in group), dtype=np.intp)
+        tbt.extend(columns.tbt_views(rows))
+        first.append(columns.first_token_time_s[rows])
+        finish.append(columns.finish_time_s[rows])
+        arrival.append(columns.arrival_time_s[rows])
+    if not tbt:
+        return np.empty(0), np.empty(0), np.empty(0)
+    arrival_s = np.concatenate(arrival)
+    ttft = np.concatenate(first) - arrival_s
+    latency = np.concatenate(finish) - arrival_s
+    return ttft, latency, np.concatenate(tbt)
+
+
 def aggregate_serving_result(
     requests: Sequence[ServingRequest],
     *,
@@ -145,18 +171,13 @@ def aggregate_serving_result(
     completed = [r for r in requests if r.state is RequestState.FINISHED]
     rejected = [r for r in requests if r.state is RequestState.REJECTED]
 
-    ttfts = [r.ttft_s for r in completed if r.ttft_s is not None]
-    latencies = [r.latency_s for r in completed if r.latency_s is not None]
-    decodes = [r.latency_s - r.ttft_s for r in completed
-               if r.latency_s is not None and r.ttft_s is not None]
-    # One C-level concatenation; the tbt lists dominate sample volume on
-    # long-generation traces (one sample per generated token).
-    tbts = list(chain.from_iterable(r.tbt_samples_s for r in completed))
+    ttft, latency, tbts = _completed_samples(completed)
+    decode = latency - ttft
 
     within_sla = completed
     if sla_latency_s is not None:
-        within_sla = [r for r in completed
-                      if r.latency_s is not None and r.latency_s <= sla_latency_s]
+        within_sla = list(compress(completed,
+                                   (latency <= sla_latency_s).tolist()))
 
     return ServingResult(
         model_name=model_name,
@@ -165,10 +186,10 @@ def aggregate_serving_result(
         num_completed=len(completed),
         num_rejected=len(rejected),
         makespan_s=makespan_s,
-        ttft=LatencyStats.from_samples(ttfts),
+        ttft=LatencyStats.from_samples(ttft[~np.isnan(ttft)]),
         tbt=LatencyStats.from_samples(tbts),
-        query_latency=LatencyStats.from_samples(latencies),
-        decode_latency=LatencyStats.from_samples(decodes),
+        query_latency=LatencyStats.from_samples(latency[~np.isnan(latency)]),
+        decode_latency=LatencyStats.from_samples(decode[~np.isnan(decode)]),
         total_prompt_tokens=sum(r.query.prompt_tokens for r in completed),
         total_decode_tokens=sum(r.query.decode_tokens for r in completed),
         prefill_time_s=prefill_time_s,
@@ -191,7 +212,7 @@ def aggregate_serving_result(
         num_prefix_hits=sum(r.prefix_hits for r in requests),
         prefix_hit_tokens=sum(r.prefix_hit_tokens for r in requests),
         num_cow_blocks=sum(r.cow_blocks for r in requests),
-        queue_depth_timeline=tuple(
-            (float(t), int(q), int(n)) for t, q, n in queue_depth_timeline
-        ),
+        # The engine and merge_queue_depth_timelines already emit builtin
+        # (float, int, int) samples.
+        queue_depth_timeline=tuple(queue_depth_timeline),
     )

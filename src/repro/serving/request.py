@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,16 @@ class RequestColumns:
     numpy arrays indexed by the request's ``row``; ``math.nan`` encodes the
     ``None`` of the optional timestamps.  Arrays double on demand and are
     never compacted, so a row index stays valid for the request's lifetime.
+
+    Time-between-tokens samples live in one float64 buffer,
+    ``tbt_samples``.  Appending a row reserves ``max(decode_tokens - 1, 0)``
+    consecutive slots for it, starting at its ``tbt_offset``: the first
+    token (emitted by prefill) has no predecessor, and every later token
+    leaves one sample.  A row therefore always holds exactly
+    ``max(tokens_generated - 1, 0)`` samples, so ``tokens_generated`` is
+    also the write cursor and no count column exists.  The buffer doubles
+    on demand like the row arrays; :meth:`sized_for` allocates a whole
+    trace's slots up front.
     """
 
     _INT_COLUMNS = (
@@ -60,6 +70,7 @@ class RequestColumns:
         "tokens_generated",
         "kv_tokens",
         "restore_remaining",
+        "tbt_offset",
     )
     _FLOAT_COLUMNS = (
         "arrival_time_s",
@@ -70,7 +81,8 @@ class RequestColumns:
         "restore_ready_s",
     )
 
-    __slots__ = _INT_COLUMNS + _FLOAT_COLUMNS + ("state_code", "size", "_capacity")
+    __slots__ = _INT_COLUMNS + _FLOAT_COLUMNS + (
+        "state_code", "size", "_capacity", "tbt_samples", "_tbt_end")
 
     def __init__(self, capacity: int = 16) -> None:
         capacity = max(int(capacity), 1)
@@ -81,6 +93,18 @@ class RequestColumns:
         self.state_code = np.zeros(capacity, dtype=np.int8)
         self.size = 0
         self._capacity = capacity
+        self.tbt_samples = np.empty(16)
+        #: One past the last reserved sample slot.
+        self._tbt_end = 0
+
+    @classmethod
+    def sized_for(cls, queries: Sequence[Query]) -> "RequestColumns":
+        """A store with room for ``queries``' rows and sample slots, so a
+        one-shot run never reallocates."""
+        columns = cls(capacity=len(queries))
+        columns.tbt_samples = np.empty(max(
+            sum(max(q.decode_tokens - 1, 0) for q in queries), 16))
+        return columns
 
     def _grow(self, need: int) -> None:
         capacity = self._capacity
@@ -92,6 +116,14 @@ class RequestColumns:
             new[: self.size] = old[: self.size]
             setattr(self, name, new)
         self._capacity = capacity
+
+    def _grow_samples(self, need: int) -> None:
+        capacity = self.tbt_samples.size
+        while capacity < need:
+            capacity *= 2
+        new = np.empty(capacity)
+        new[: self._tbt_end] = self.tbt_samples[: self._tbt_end]
+        self.tbt_samples = new
 
     def append(self, query: Query) -> int:
         """Add a fresh (QUEUED) row for ``query`` and return its index."""
@@ -112,7 +144,22 @@ class RequestColumns:
         self.finish_time_s[row] = math.nan
         self.restore_ready_s[row] = 0.0
         self.state_code[row] = 0  # RequestState.QUEUED
+        start = self._tbt_end
+        end = start + max(query.decode_tokens - 1, 0)
+        if end > self.tbt_samples.size:
+            self._grow_samples(end)
+        self.tbt_offset[row] = start
+        self._tbt_end = end
         return row
+
+    def tbt_views(self, rows: np.ndarray) -> List[np.ndarray]:
+        """Each row's recorded samples, as views into the buffer."""
+        starts = self.tbt_offset[rows]
+        ends = starts + np.maximum(self.tokens_generated[rows] - 1, 0)
+        samples = self.tbt_samples
+        return [samples[start:end]
+                for start, end in zip(starts.tolist(), ends.tolist(), strict=True)]
+
 
 def _int_column(name: str):
     def getter(self: "ServingRequest") -> int:
@@ -150,7 +197,7 @@ def _optional_float_column(name: str):
 class ServingRequest:
     """One query's measured journey through the engine.
 
-    The fields below ``tbt_samples_s`` exist for the paged-admission mode
+    The fields from ``restore_total`` on exist for the paged-admission mode
     (``repro.kvstore``): they track the request's on-device KV allocation,
     its restore progress after a preemption, and the preemption/swap
     counters the aggregation folds into the
@@ -164,7 +211,6 @@ class ServingRequest:
         "_columns",
         "_row",
         "kv_reserved_bytes",
-        "tbt_samples_s",
         #: Size of the current rebuild (a decode victim's whole context, a
         #: prefill victim's lost prefix); prices the rebuild chunks' midpoints.
         "restore_total",
@@ -237,7 +283,6 @@ class ServingRequest:
         if state is not RequestState.QUEUED:
             self.state = state
         self.kv_reserved_bytes = 0
-        self.tbt_samples_s: List[float] = []
         self.restore_total = 0
         self.resume_kv_tokens = 0
         self.swap_done_s = 0.0
@@ -262,6 +307,11 @@ class ServingRequest:
         self.prefix_pending = False
 
     # ------------------------------------------------------------------ columnar views
+
+    @property
+    def columns(self) -> RequestColumns:
+        """The :class:`RequestColumns` store this request is a row of."""
+        return self._columns
 
     @property
     def row(self) -> int:
@@ -291,6 +341,26 @@ class ServingRequest:
         self._columns.state_code[self._row] = _CODE_BY_STATE[value]
 
     # ------------------------------------------------------------------ progress
+
+    def emit_token(self, clock: float) -> None:
+        """Generate one decode token at ``clock`` and record its
+        time-between-tokens sample (the scalar twin of the engine's
+        vectorized scatter)."""
+        columns, row = self._columns, self._row
+        generated = columns.tokens_generated[row]
+        columns.tbt_samples[columns.tbt_offset[row] + generated - 1] = (
+            clock - columns.last_token_time_s[row])
+        columns.tokens_generated[row] = generated + 1
+        columns.last_token_time_s[row] = clock
+
+    @property
+    def tbt_samples_s(self) -> List[float]:
+        """Time-between-tokens samples recorded so far, oldest first (a
+        copy of the row's slice of ``RequestColumns.tbt_samples``)."""
+        columns, row = self._columns, self._row
+        start = columns.tbt_offset[row]
+        count = max(columns.tokens_generated[row] - 1, 0)
+        return columns.tbt_samples[start:start + count].tolist()
 
     @property
     def arrival_time_s(self) -> float:

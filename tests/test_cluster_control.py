@@ -13,11 +13,13 @@ from repro.cluster import (
 )
 from repro.cluster.placement import ReplicaSpec
 from repro.core.config import CentConfig
+from repro.core.performance import PerformanceModel
 from repro.core.system import CentSystem
 from repro.evaluation import closed_loop_study
 from repro.models.config import ModelConfig
 from repro.serving import RequestState, ServingEngine
-from repro.telemetry import TraceRecorder
+from repro.telemetry import SloMonitor, SloRule, TraceRecorder
+from repro.telemetry.export import iter_scope_events
 from repro.workloads import (
     Query,
     bursty_arrivals,
@@ -634,6 +636,54 @@ class TestClosedLoop:
                                         context_step=512)
         assert ablation.num_rebalances == 0
         assert ablation.epoch_s == 0.5
+
+    def test_serve_cluster_forwards_telemetry(self, small_model):
+        """``serve_cluster`` hands ``telemetry`` and ``slo_monitor`` to
+        ``ClusterEngine.run``: same result, same recorded trace."""
+        tenants = [TenantSpec("a", model=small_model,
+                              trace=timed_trace(12, 80.0, seed=9)),
+                   TenantSpec("b", model=small_model,
+                              trace=timed_trace(12, 80.0, seed=10))]
+        config = CentConfig(num_devices=4, context_samples=2)
+        outcomes = []
+        for via_system in (True, False):
+            recorder = TraceRecorder()
+            options = dict(rebalance="epoch", epoch_s=0.05, telemetry=recorder,
+                           slo_monitor=SloMonitor([SloRule(
+                               "any-ttft", "serving.ttft_p99_s", 0.0,
+                               window=1)]))
+            if via_system:
+                result = CentSystem(config, small_model).serve_cluster(
+                    tenants, context_step=512, **options)
+            else:
+                result = ClusterEngine(
+                    config, tenants, default_model=small_model,
+                    context_step=512).run(**options)
+            outcomes.append((result, list(iter_scope_events(recorder))))
+        (result, events), expected = outcomes
+        assert events and result.alert_log.alerts
+        assert (result, events) == expected
+
+    def test_unknown_engine_keyword_fails_before_planning(
+            self, small_model, monkeypatch):
+        """A keyword ``ServingEngine`` does not take fails at the call that
+        received it, before any block simulation, naming that call."""
+        simulated = []
+        simulate_block = PerformanceModel._simulate_block
+
+        def counting(self, *args, **kwargs):
+            simulated.append(args)
+            return simulate_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(PerformanceModel, "_simulate_block", counting)
+        tenant = TenantSpec("t", model=small_model, trace=timed_trace(3, 5.0))
+        config = CentConfig(num_devices=2, context_samples=2)
+        with pytest.raises(TypeError, match="ClusterEngine.*'telemetri'"):
+            CentSystem(config, small_model).serve_cluster(
+                [tenant], telemetri=TraceRecorder())
+        with pytest.raises(TypeError, match="ClusterEngine.*'bogus'"):
+            ClusterEngine(config, [tenant], bogus=1)
+        assert simulated == []
 
     def test_aliased_query_objects_are_all_accounted(self, small_model):
         """Regression: a trace aliasing one Query object many times must not

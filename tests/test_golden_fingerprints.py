@@ -169,6 +169,8 @@ def test_live_migration(system, admission):
             target.extend(state_b, [request.query])
     assert migrated > 0
     run = target.advance(state_b)
+    assert all(len(r.tbt_samples_s) == max(r.tokens_generated - 1, 0)
+               for r in run.requests)
     fingerprint = (
         run.makespan_s, run.prefill_time_s, run.decode_time_s,
         run.decode_step_tokens, run.peak_memory_bytes,

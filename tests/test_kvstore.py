@@ -513,6 +513,36 @@ class TestQueueDepthTimeline:
         # requests keep the backlog signal non-zero.
         assert result.peak_queue_depth > 0
 
+    def test_samples_are_builtin_types(self, system, pp_plan, profile,
+                                       small_model):
+        """Results carry the producers' samples as they are, so each
+        producer emits builtin ``(float, int, int)``: the engine under both
+        admission modes, and the cluster's per-tenant merge."""
+        from repro.cluster.tenant import TenantSpec
+
+        def trace(seed):
+            return with_arrivals(sharegpt_like_queries(40, seed=seed),
+                                 poisson_arrivals(40, 500.0, seed=seed))
+
+        capacity = tight_capacity(profile, 2.2, 1024)
+        results = [
+            ServingEngine(system, pp_plan).run(trace(5)),
+            ServingEngine(system, pp_plan, memory_capacity_bytes=capacity,
+                          admission="paged").run(trace(5)),
+        ]
+        assert results[1].num_preemptions > 0
+        cluster = CentSystem(CentConfig(num_devices=4, context_samples=2),
+                             small_model).serve_cluster(
+            [TenantSpec("a", trace=trace(6)), TenantSpec("b", trace=trace(7))],
+            admission="paged", rebalance="epoch", epoch_s=0.2,
+            context_step=512)
+        results.extend(cluster.tenant_results.values())
+        for result in results:
+            assert result.queue_depth_timeline
+            assert {tuple(map(type, sample))
+                    for sample in result.queue_depth_timeline} \
+                == {(float, int, int)}
+
     def test_merge_sums_concurrent_replica_backlogs(self):
         from repro.serving import merge_queue_depth_timelines
 

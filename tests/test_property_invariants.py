@@ -1,9 +1,14 @@
 """Property-based tests of core invariants (hypothesis)."""
 
+import functools
+import operator
+import struct
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.gemv import compile_gemv
+from repro.core.results import FOLD_CHUNK, LatencyStats
 from repro.cxl.link import CXL_3_0_LINK
 from repro.cxl.primitives import broadcast, gather, send_receive
 from repro.dram.channel import DRAMChannel
@@ -409,3 +414,40 @@ def test_queue_depth_timeline_conserves_requests(trace, admission):
             f"but arrived={arrived} finished={finished}"
         )
         assert queued >= 0 and running >= 0
+
+
+# --------------------------------------------------------------------------- latency statistics
+
+#: Sizes around the chunk boundaries of the mean's fold (its slices start
+#: after the first sample), plus the empty and single-sample sets.
+_FOLD_SIZES = (0, 1, 2, FOLD_CHUNK, FOLD_CHUNK + 1, FOLD_CHUNK + 2,
+               2 * FOLD_CHUNK, 2 * FOLD_CHUNK + 1, 2 * FOLD_CHUNK + 2)
+
+_latency_samples = st.one_of(
+    st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40).map(
+        lambda values: np.array(values, dtype=np.float64)),
+    # Log-normal samples over many decades, so the summation order shows
+    # in the last bits of the mean.
+    st.tuples(st.sampled_from(_FOLD_SIZES), st.integers(0, 2**32 - 1)).map(
+        lambda spec: np.random.default_rng(spec[1]).lognormal(-6.0, 3.0,
+                                                               spec[0])),
+)
+
+
+@given(_latency_samples)
+@settings(max_examples=40, deadline=None)
+def test_latency_stats_mean_is_the_left_fold(samples):
+    """``LatencyStats`` keeps the mean a sequential left fold, bit for bit,
+    and its percentiles ``np.percentile``'s, whether it partitions a float64
+    array in place or converts a list."""
+    original = samples.copy()
+    stats = LatencyStats.from_samples(samples)
+    assert LatencyStats.from_samples(original.tolist()) == stats
+    if original.size == 0:
+        assert stats == LatencyStats()
+        return
+    mean = functools.reduce(operator.add, original.tolist()) / original.size
+    assert struct.pack("<d", stats.mean_s) == struct.pack("<d", mean)
+    p50, p90, p99 = np.percentile(original.copy(), [50.0, 90.0, 99.0])
+    assert (stats.p50_s, stats.p90_s, stats.p99_s) == (p50, p90, p99)
+    assert (stats.count, stats.max_s) == (original.size, original.max())

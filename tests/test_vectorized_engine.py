@@ -55,6 +55,9 @@ def run_fingerprint(engine, trace, *, until_points=()):
     for until_s in until_points:
         engine.advance(state, until_s=until_s)
     run = engine.advance(state)
+    # Every generated token after the first leaves exactly one sample.
+    assert all(len(r.tbt_samples_s) == max(r.tokens_generated - 1, 0)
+               for r in run.requests)
     return (
         run.makespan_s, run.prefill_time_s, run.decode_time_s,
         run.decode_step_tokens, run.peak_memory_bytes,
