@@ -14,7 +14,7 @@ exponent normalisation, residual addition, RoPE packing) are emitted as
 accelerators and RISC-V cores.
 """
 
-from repro.compiler.operations import CompiledOperation, PnmTask, PnmUnit
+from repro.compiler.operations import BlockStep, CompiledOperation, PnmTask, PnmUnit
 from repro.compiler.allocator import ChannelAllocator, MatrixPlacement
 from repro.compiler.gemv import compile_gemv
 from repro.compiler.elementwise import compile_elementwise_multiply, compile_activation
@@ -22,7 +22,7 @@ from repro.compiler.normalization import compile_rmsnorm
 from repro.compiler.rope import compile_rope
 from repro.compiler.attention import compile_attention
 from repro.compiler.ffn import compile_ffn
-from repro.compiler.transformer import BlockProgram, compile_transformer_block
+from repro.compiler.transformer import BlockProgram, block_steps, compile_transformer_block
 
 __all__ = [
     "CompiledOperation",
@@ -38,5 +38,7 @@ __all__ = [
     "compile_attention",
     "compile_ffn",
     "BlockProgram",
+    "BlockStep",
+    "block_steps",
     "compile_transformer_block",
 ]

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.isa.program import Program
 
-__all__ = ["PnmUnit", "PnmTask", "CompiledOperation"]
+if TYPE_CHECKING:
+    from repro.compiler.allocator import ChannelAllocator
+    from repro.dram.geometry import ChannelGeometry
+
+__all__ = ["PnmUnit", "PnmTask", "CompiledOperation", "BlockStep"]
 
 
 class PnmUnit(enum.Enum):
@@ -77,3 +81,29 @@ class CompiledOperation:
         from repro.isa.instructions import Opcode
 
         return self.program.stats.micro_ops(Opcode.MAC_ABK)
+
+
+@dataclass(frozen=True)
+class BlockStep:
+    """One step of a transformer block before compilation: a compile
+    function and the arguments it is called with.
+
+    ``compile(name, *args, allocator=..., geometry=...)`` returns the step's
+    compiled operations in order.  ``allocator`` names the channel
+    allocator the step places its matrices with (``None`` for a step that
+    allocates nothing).  Steps compare and hash on (compile, args,
+    allocator) but not on ``name``, which only labels the operations: two
+    equal steps compile to the same programs, flops, DRAM bytes and PNM
+    tasks, and advance their allocator by the same number of rows, whenever
+    their allocators start at the same row.
+    """
+
+    name: str = field(compare=False)
+    compile: Callable[..., List[CompiledOperation]]
+    args: Tuple = ()
+    allocator: Optional[str] = None
+
+    def compile_on(self, allocator: Optional["ChannelAllocator"],
+                   geometry: "ChannelGeometry") -> List[CompiledOperation]:
+        return self.compile(self.name, *self.args, allocator=allocator,
+                            geometry=geometry)

@@ -4,27 +4,30 @@
 rotary embedding and grouped-query support, residual connections, RMSNorm and
 the feed-forward network — onto the PIM channels assigned to it, producing a
 :class:`BlockProgram`: the ordered list of compiled operations together with
-the residual-connection PNM tasks.  The performance model consumes a
-``BlockProgram`` to obtain the PIM / PNM / CXL latency breakdown of a
-pipeline stage or tensor-parallel shard.
+the residual-connection PNM tasks.  The block is one list of
+:class:`~repro.compiler.operations.BlockStep` descriptors
+(:func:`block_steps`): ``compile_transformer_block`` compiles every step,
+while the performance model walks the same list and compiles a step only
+when its process-wide memo has not seen the step's compile inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.compiler.allocator import ChannelAllocator
 from repro.compiler.attention import compile_attention
 from repro.compiler.ffn import compile_ffn
 from repro.compiler.gemv import compile_gemv
 from repro.compiler.normalization import compile_rmsnorm
-from repro.compiler.operations import CompiledOperation, PnmTask, PnmUnit
+from repro.compiler.operations import BlockStep, CompiledOperation, PnmTask, PnmUnit
 from repro.compiler.rope import compile_rope
 from repro.dram.geometry import ChannelGeometry, GDDR6_PIM_GEOMETRY
+from repro.isa.program import Program
 from repro.models.config import ModelConfig
 
-__all__ = ["BlockProgram", "compile_transformer_block"]
+__all__ = ["BlockProgram", "block_steps", "compile_transformer_block"]
 
 
 @dataclass
@@ -94,20 +97,21 @@ class BlockProgram:
         return mac_elements / total if total else 0.0
 
 
-def compile_transformer_block(
+#: Allocator roles of block steps: the fully-connected weights' allocator
+#: and the attention layer's (one allocator when both run on the same
+#: channels).
+FC_ALLOCATOR = "fc"
+ATTENTION_ALLOCATOR = "attention"
+
+
+def block_steps(
     model: ModelConfig,
     context_length: int,
     num_channels: int,
     attention_channels: int | None = None,
-    geometry: ChannelGeometry = GDDR6_PIM_GEOMETRY,
-) -> BlockProgram:
-    """Compile one transformer block for a single token at ``context_length``.
-
-    ``num_channels`` is the channel count executing the sharded
-    fully-connected layers; ``attention_channels`` (defaulting to
-    ``num_channels``) is the channel count of the master device that runs the
-    normalisation, RoPE and attention layers under tensor parallelism.
-    """
+) -> List[BlockStep]:
+    """The steps of one transformer block for a single token, in execution
+    order.  Arguments as for :func:`compile_transformer_block`."""
     if context_length <= 0:
         raise ValueError("context length must be positive")
     if context_length > model.max_context:
@@ -122,70 +126,100 @@ def compile_transformer_block(
     if attention_channels <= 0:
         raise ValueError("attention_channels must be positive")
 
-    allocator = ChannelAllocator(geometry)
-    attention_allocator = (allocator if attention_channels == num_channels
-                           else ChannelAllocator(geometry))
-    operations: List[CompiledOperation] = []
-
-    # --------------------------------------------------------------- attention
-    operations.append(compile_rmsnorm(
-        "attn.rmsnorm", model.d_model, attention_channels, geometry=geometry))
-    operations.append(compile_gemv(
-        "attn.wq", out_dim=model.d_model, in_dim=model.d_model,
-        num_channels=num_channels, allocator=allocator, geometry=geometry))
-    operations.append(compile_gemv(
-        "attn.wk", out_dim=model.kv_dim, in_dim=model.d_model,
-        num_channels=num_channels, allocator=allocator, geometry=geometry))
-    operations.append(compile_gemv(
-        "attn.wv", out_dim=model.kv_dim, in_dim=model.d_model,
-        num_channels=num_channels, allocator=allocator, geometry=geometry))
+    fc = FC_ALLOCATOR
+    attention = fc if attention_channels == num_channels else ATTENTION_ALLOCATOR
+    d_model = model.d_model
+    steps = [
+        BlockStep("attn.rmsnorm", _rmsnorm, (d_model, attention_channels)),
+        BlockStep("attn.wq", _gemv, (d_model, d_model, num_channels), fc),
+        BlockStep("attn.wk", _gemv, (model.kv_dim, d_model, num_channels), fc),
+        BlockStep("attn.wv", _gemv, (model.kv_dim, d_model, num_channels), fc),
+    ]
     if model.positional_encoding == "rotary":
-        operations.append(compile_rope(
-            "attn.rope", num_elements=model.d_model + model.kv_dim,
-            num_channels=attention_channels, geometry=geometry))
-    attention = compile_attention(
-        model, context_length, attention_channels,
-        allocator=attention_allocator, geometry=geometry)
-    operations.extend(attention.operations)
-    operations.append(compile_gemv(
-        "attn.wo", out_dim=model.d_model, in_dim=model.d_model,
-        num_channels=num_channels, allocator=allocator, geometry=geometry))
-    residual_1 = CompiledOperation(
-        name="attn.residual",
-        program=_empty_program("attn.residual"),
-        pnm_tasks=[PnmTask(PnmUnit.RISCV, num_elements=model.d_model,
-                           routine="residual_add")],
-        parallel_channels=attention_channels,
-        flops=model.d_model,
-    )
-    operations.append(residual_1)
+        steps.append(BlockStep("attn.rope", _rope,
+                               (d_model + model.kv_dim, attention_channels)))
+    steps += [
+        BlockStep("attention", _attention,
+                  (model, context_length, attention_channels), attention),
+        BlockStep("attn.wo", _gemv, (d_model, d_model, num_channels), fc),
+        BlockStep("attn.residual", _residual, (d_model, attention_channels)),
+        BlockStep("ffn.rmsnorm", _rmsnorm, (d_model, attention_channels)),
+        BlockStep("ffn", _ffn, (model, num_channels), fc),
+        BlockStep("ffn.residual", _residual, (d_model, attention_channels)),
+    ]
+    return steps
 
-    # --------------------------------------------------------------- feed forward
-    operations.append(compile_rmsnorm(
-        "ffn.rmsnorm", model.d_model, attention_channels, geometry=geometry))
-    ffn = compile_ffn(model, num_channels, allocator=allocator, geometry=geometry)
-    operations.extend(ffn.operations)
-    residual_2 = CompiledOperation(
-        name="ffn.residual",
-        program=_empty_program("ffn.residual"),
-        pnm_tasks=[PnmTask(PnmUnit.RISCV, num_elements=model.d_model,
-                           routine="residual_add")],
-        parallel_channels=attention_channels,
-        flops=model.d_model,
-    )
-    operations.append(residual_2)
 
+def compile_transformer_block(
+    model: ModelConfig,
+    context_length: int,
+    num_channels: int,
+    attention_channels: int | None = None,
+    geometry: ChannelGeometry = GDDR6_PIM_GEOMETRY,
+) -> BlockProgram:
+    """Compile one transformer block for a single token at ``context_length``.
+
+    ``num_channels`` is the channel count executing the sharded
+    fully-connected layers; ``attention_channels`` (defaulting to
+    ``num_channels``) is the channel count of the master device that runs the
+    normalisation, RoPE and attention layers under tensor parallelism.
+    The block is the concatenation of its :func:`block_steps`, each compiled
+    on its role's allocator.
+    """
+    steps = block_steps(model, context_length, num_channels, attention_channels)
+    allocators: Dict[str, ChannelAllocator] = {}
+    operations: List[CompiledOperation] = []
+    for step in steps:
+        allocator = None
+        if step.allocator is not None:
+            allocator = allocators.setdefault(step.allocator,
+                                              ChannelAllocator(geometry))
+        operations.extend(step.compile_on(allocator, geometry))
     return BlockProgram(
         model=model,
         context_length=context_length,
         num_channels=num_channels,
-        attention_channels=attention_channels,
+        attention_channels=attention_channels or num_channels,
         operations=operations,
-        allocator=allocator,
+        allocator=allocators[FC_ALLOCATOR],
     )
 
 
-def _empty_program(label: str):
-    from repro.isa.program import Program
+# Block steps: every compile function takes (name, *args, allocator,
+# geometry) and returns the step's operations.
 
-    return Program(label=label)
+def _rmsnorm(name, hidden_dim, num_channels, allocator, geometry):
+    return [compile_rmsnorm(name, hidden_dim, num_channels, geometry=geometry)]
+
+
+def _gemv(name, out_dim, in_dim, num_channels, allocator, geometry):
+    return [compile_gemv(name, out_dim=out_dim, in_dim=in_dim,
+                         num_channels=num_channels, allocator=allocator,
+                         geometry=geometry)]
+
+
+def _rope(name, num_elements, num_channels, allocator, geometry):
+    return [compile_rope(name, num_elements=num_elements,
+                         num_channels=num_channels, geometry=geometry)]
+
+
+def _attention(name, model, context_length, num_channels, allocator, geometry):
+    return compile_attention(model, context_length, num_channels,
+                             allocator=allocator, geometry=geometry).operations
+
+
+def _ffn(name, model, num_channels, allocator, geometry):
+    return compile_ffn(model, num_channels, allocator=allocator,
+                       geometry=geometry).operations
+
+
+def _residual(name, num_elements, num_channels, allocator, geometry):
+    """A residual connection: RISC-V work only, no PIM program."""
+    return [CompiledOperation(
+        name=name,
+        program=Program(label=name),
+        pnm_tasks=[PnmTask(PnmUnit.RISCV, num_elements=num_elements,
+                           routine="residual_add")],
+        parallel_channels=num_channels,
+        flops=num_elements,
+    )]

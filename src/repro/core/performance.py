@@ -1,47 +1,55 @@
 """Performance model: compiled block programs to latency and activity.
 
-The model compiles one transformer block per (model, channel assignment,
-context length), executes every operation's per-channel instruction stream on
-a :class:`~repro.pim.channel.PIMChannel` timing substrate, adds the PNM
-accelerator / RISC-V latencies and the CXL communication of the chosen
-parallelisation plan, and caches the result.  Inference-level aggregation
-(prefill / decoding phases, pipelining, throughput) lives in
-``repro.core.inference``.
+The model walks the steps of one transformer block (model, channel
+assignment, context length), executes every operation's per-channel
+instruction stream on a :class:`~repro.pim.channel.PIMChannel` timing
+substrate, adds the PNM accelerator / RISC-V latencies and the CXL
+communication of the chosen parallelisation plan, and caches the result.
+Inference-level aggregation (prefill / decoding phases, pipelining,
+throughput) lives in ``repro.core.inference``.
 
 Two cache levels sit under :meth:`PerformanceModel.block_cost`:
 
 * a per-instance LRU of simulated blocks, keyed by (model, context, channel
   assignment) and bounded by ``CentConfig.block_cache_entries``;
-* the process-wide :data:`PROGRAM_MEMO` beneath the block simulation.
-  Every operation runs on a fresh channel, so its outcome is a pure function
-  of its program, timing and geometry.  The memo keys on exactly those, so
-  a program that repeats — across the GEMVs of one block, across contexts,
-  across ``CentSystem`` instances — is executed once per process.  It holds
-  at most :data:`PROGRAM_MEMO_ENTRIES` outcomes of under a kilobyte each.
+* the process-wide :data:`PROGRAM_MEMO` beneath the block simulation.  A
+  block is one list of :class:`~repro.compiler.operations.BlockStep`
+  descriptors (:func:`~repro.compiler.transformer.block_steps`, the list
+  :func:`compile_transformer_block` compiles).  The memo key is a step's
+  compile inputs: its compile function and arguments (not its label), the
+  row its ``ChannelAllocator`` stands at, timing and geometry.  Every
+  operation runs on a fresh channel, so those inputs fix everything the
+  block folds.  An entry (:class:`StepCost`) holds, per operation of the
+  step, the :class:`ProgramOutcome` its program leaves on a fresh channel
+  and the flops, DRAM bytes and PNM tasks it contributes, plus how many
+  rows the step advanced its allocator.  An entry never holds an
+  instruction list.  A step is compiled and executed only on a miss; a hit
+  costs one dict lookup, in every ``CentSystem`` of the process.  The memo
+  holds at most :data:`PROGRAM_MEMO_ENTRIES` entries of under a kilobyte
+  each.
 
-Block costs are bit-identical with and without either cache: a memo hit
-returns the stored channel outcome and the block still folds the outcomes
-in operation order.
+Block costs are bit-identical with and without either cache: the block
+folds the stored outcomes in operation order.  ``compile_transformer_block``
+stays importable from this module for callers that instrument block
+compilation.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.compiler.operations import PnmTask, PnmUnit
-from repro.compiler.transformer import compile_transformer_block
+from repro.compiler.allocator import ChannelAllocator
+from repro.compiler.operations import BlockStep, PnmTask, PnmUnit
+from repro.compiler.transformer import block_steps, compile_transformer_block
 from repro.core.config import CentConfig
 from repro.core.results import LatencyBreakdown
 from repro.cxl.primitives import broadcast, gather, multicast, send_receive
 from repro.dram.commands import CommandType
 from repro.dram.geometry import ChannelGeometry
 from repro.dram.timing import TimingParameters
-from repro.isa.program import Program
 from repro.mapping.parallelism import ParallelismPlan
 from repro.models.config import ModelConfig
 from repro.pim.channel import PIMChannel
@@ -49,10 +57,11 @@ from repro.pnm.accelerators import PnmLatencyModel
 from repro.pnm.riscv import RiscvCluster
 
 __all__ = ["BlockCost", "PerformanceModel", "ProgramMemo", "ProgramOutcome",
-           "PROGRAM_MEMO", "PROGRAM_MEMO_ENTRIES"]
+           "OperationCost", "StepCost", "PROGRAM_MEMO", "PROGRAM_MEMO_ENTRIES",
+           "compile_transformer_block"]
 
-#: Bound on the process-wide program memo.  An entry is a 16-byte digest
-#: plus a handful of counters, so a full memo stays within a few MiB.
+#: Bound on the process-wide program memo.  An entry is a few outcomes of a
+#: handful of counters each, so a full memo stays within a few MiB.
 PROGRAM_MEMO_ENTRIES = 4096
 
 
@@ -88,33 +97,61 @@ class ProgramOutcome:
     shared_buffer_transfers: int
     command_counts: Tuple[Tuple[CommandType, int], ...]
 
+    @classmethod
+    def of(cls, channel: PIMChannel) -> "ProgramOutcome":
+        """The outcome ``channel`` holds after running one program."""
+        return cls(
+            busy_until_ns=channel.busy_until_ns,
+            global_buffer_writes=channel.stats.global_buffer_writes,
+            shared_buffer_transfers=channel.stats.shared_buffer_transfers,
+            command_counts=tuple(channel.dram.stats.counts.items()),
+        )
+
+
+@dataclass(frozen=True)
+class OperationCost:
+    """What one compiled operation contributes to its block.
+
+    ``outcome`` is None for an operation without a PIM program."""
+
+    outcome: Optional[ProgramOutcome]
+    flops: int
+    dram_bytes_read: int
+    pnm_tasks: Tuple[PnmTask, ...]
+
+
+@dataclass(frozen=True)
+class StepCost:
+    """A memo entry: the costs of one block step's operations, in order,
+    and the rows the step advanced its allocator by."""
+
+    operations: Tuple[OperationCost, ...]
+    allocated_rows: int
+
 
 class ProgramMemo:
-    """Bounded LRU of :class:`ProgramOutcome` keyed by program content.
+    """Bounded LRU of :class:`StepCost` keyed by compile inputs.
 
-    The key is (timing, geometry, digest of every instruction's class and
-    fields): two programs share an entry only if a fresh channel would
-    execute them identically.  Thread-safe; a miss executes outside the
-    lock, so racing threads at worst both compute the same outcome.
+    The key is (step, allocator row, timing, geometry): two lookups share an
+    entry only if compiling the step would produce the same programs and a
+    fresh channel would execute them identically.  Thread-safe; a miss
+    compiles and executes outside the lock, so racing threads at worst both
+    compute the same entry.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("memo capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple, ProgramOutcome]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple, StepCost]" = OrderedDict()
         self._lock = threading.Lock()
 
     @staticmethod
-    def key(program: Program, timing: TimingParameters,
+    def key(step: BlockStep, row: Optional[int], timing: TimingParameters,
             geometry: ChannelGeometry) -> Tuple:
-        # Pickling is injective on content (it round-trips), so distinct
-        # programs never share a digest.
-        content = pickle.dumps([(type(instruction), vars(instruction))
-                                for instruction in program],
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.blake2b(content, digest_size=16).digest()
-        return (timing, geometry, digest)
+        """``row`` is where the step's allocator stands (None for a step
+        that allocates nothing)."""
+        return (step, row, timing, geometry)
 
     def __len__(self) -> int:
         with self._lock:  # never observe an insert before its eviction
@@ -127,30 +164,48 @@ class ProgramMemo:
         with self._lock:
             self._entries.clear()
 
-    def outcome(self, program: Program, timing: TimingParameters,
-                geometry: ChannelGeometry) -> ProgramOutcome:
-        """The outcome of ``program`` on a fresh channel, executed at most
-        once per key while the entry stays in the memo."""
-        key = self.key(program, timing, geometry)
+    def cost(self, step: BlockStep, row: Optional[int],
+             timing: TimingParameters, geometry: ChannelGeometry) -> StepCost:
+        """The cost of ``step`` with its allocator at ``row``, compiled and
+        executed at most once per key while the entry stays in the memo."""
+        key = (step, row, timing, geometry)
         with self._lock:
-            outcome = self._entries.get(key)
-            if outcome is not None:
+            cost = self._entries.get(key)
+            if cost is not None:
                 self._entries.move_to_end(key)
-                return outcome
-        channel = PIMChannel(timing=timing, geometry=geometry)
-        channel.execute_program(program)
-        channel.close_row()
-        outcome = ProgramOutcome(
-            busy_until_ns=channel.busy_until_ns,
-            global_buffer_writes=channel.stats.global_buffer_writes,
-            shared_buffer_transfers=channel.stats.shared_buffer_transfers,
-            command_counts=tuple(channel.dram.stats.counts.items()),
-        )
+                return cost
+        cost = _compile_and_run(step, row, timing, geometry)
         with self._lock:
-            self._entries[key] = outcome
+            self._entries[key] = cost
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-        return outcome
+        return cost
+
+
+def _compile_and_run(step: BlockStep, row: Optional[int],
+                     timing: TimingParameters,
+                     geometry: ChannelGeometry) -> StepCost:
+    """Compile ``step`` and run each of its programs on a fresh channel."""
+    allocator = None
+    if row is not None:
+        allocator = ChannelAllocator(geometry)
+        allocator.next_row = row
+    operations = []
+    for operation in step.compile_on(allocator, geometry):
+        outcome = None
+        if len(operation.program):
+            channel = PIMChannel(timing=timing, geometry=geometry)
+            channel.execute_program(operation.program)
+            channel.close_row()
+            outcome = ProgramOutcome.of(channel)
+        operations.append(OperationCost(
+            outcome=outcome,
+            flops=operation.flops,
+            dram_bytes_read=operation.dram_bytes_read,
+            pnm_tasks=tuple(operation.pnm_tasks),
+        ))
+    rows = 0 if allocator is None else allocator.next_row - row
+    return StepCost(operations=tuple(operations), allocated_rows=rows)
 
 
 #: The process-wide program memo every :class:`PerformanceModel` shares.
@@ -165,10 +220,10 @@ class PerformanceModel:
     assignment); the capacity comes from ``config.block_cache_entries`` (or
     the explicit ``cache_capacity`` override) so long serving traces that
     sweep many context lengths cannot grow memory without bound.  A block
-    missing from that LRU is recompiled, but each of its operation programs
-    is looked up in the process-wide :data:`PROGRAM_MEMO` (bounded by
-    :data:`PROGRAM_MEMO_ENTRIES`) and only executed on the cycle-level
-    channel the first time the process sees it.
+    missing from that LRU walks its steps through the process-wide
+    :data:`PROGRAM_MEMO` (bounded by :data:`PROGRAM_MEMO_ENTRIES`): a step
+    is compiled and executed on the channel model only the first time the
+    process sees its compile inputs.
     """
 
     def __init__(self, config: CentConfig, cache_capacity: int | None = None) -> None:
@@ -258,42 +313,46 @@ class PerformanceModel:
         fc_channels: int,
         attention_channels: int,
     ) -> BlockCost:
-        block = compile_transformer_block(
-            model,
-            context_length,
-            num_channels=fc_channels,
-            attention_channels=attention_channels,
-            geometry=self.config.geometry,
-        )
+        timing, geometry = self.config.timing, self.config.geometry
+        slot_bytes = geometry.access_granularity_bytes
+        rows: Dict[str, int] = {}
         pim_ns = 0.0
+        pnm_ns = 0.0
+        flops = dram_bytes = 0
         command_counts: Dict[CommandType, int] = {}
-        slot_bytes = self.config.geometry.access_granularity_bytes
-        for operation in block.operations:
-            if len(operation.program) == 0:
-                continue
-            outcome = PROGRAM_MEMO.outcome(
-                operation.program, self.config.timing, self.config.geometry
-            )
-            pim_ns += outcome.busy_until_ns
-            # Staging traffic over the device-internal bus: WR_GB carries the
-            # same vector to every channel's global buffer, so it is a
-            # broadcast paid once per device; per-channel results and KV
-            # writes (RD_MAC, WR_SBK, ...) are distinct and serialise across
-            # the concurrently active channels of the device.
-            broadcast_bytes = outcome.global_buffer_writes * slot_bytes
-            distinct_bytes = (outcome.shared_buffer_transfers * slot_bytes
-                              * self.config.channels_per_device)
-            pim_ns += (broadcast_bytes + distinct_bytes) / self.config.device_bus_gbps
-            for kind, count in outcome.command_counts:
-                command_counts[kind] = command_counts.get(kind, 0) + count
-        pnm_ns = sum(self._pnm_task_latency(task) for task in block.pnm_tasks)
+        for step in block_steps(model, context_length, fc_channels,
+                                attention_channels):
+            row = None if step.allocator is None else rows.get(step.allocator, 0)
+            cost = PROGRAM_MEMO.cost(step, row, timing, geometry)
+            if row is not None:
+                rows[step.allocator] = row + cost.allocated_rows
+            for operation in cost.operations:
+                flops += operation.flops
+                dram_bytes += operation.dram_bytes_read
+                for task in operation.pnm_tasks:
+                    pnm_ns += self._pnm_task_latency(task)
+                outcome = operation.outcome
+                if outcome is None:
+                    continue
+                pim_ns += outcome.busy_until_ns
+                # Staging traffic over the device-internal bus: WR_GB carries
+                # the same vector to every channel's global buffer, so it is a
+                # broadcast paid once per device; per-channel results and KV
+                # writes (RD_MAC, WR_SBK, ...) are distinct and serialise
+                # across the concurrently active channels of the device.
+                broadcast_bytes = outcome.global_buffer_writes * slot_bytes
+                distinct_bytes = (outcome.shared_buffer_transfers * slot_bytes
+                                  * self.config.channels_per_device)
+                pim_ns += (broadcast_bytes + distinct_bytes) / self.config.device_bus_gbps
+                for kind, count in outcome.command_counts:
+                    command_counts[kind] = command_counts.get(kind, 0) + count
         return BlockCost(
             breakdown=LatencyBreakdown(pim_ns=pim_ns, pnm_ns=pnm_ns),
             command_counts_per_channel=command_counts,
             fc_channels=fc_channels,
             attention_channels=attention_channels,
-            dram_bytes_read=block.total_dram_bytes,
-            flops=block.total_flops,
+            dram_bytes_read=dram_bytes,
+            flops=flops,
         )
 
     def _pnm_task_latency(self, task: PnmTask) -> float:

@@ -1,9 +1,12 @@
 """Per-bank and per-bank-group state machines.
 
 A bank tracks its open row and the earliest time each class of command may be
-issued to it.  The channel-level scheduler (``repro.dram.channel``) combines
-these per-bank constraints with channel-wide constraints (column bus
-occupancy, tRRD, refresh) to timestamp every command.
+issued to it.  These are the per-bank timing rules of the channel model:
+``repro.dram.channel.DRAMChannel`` applies the same rules to all banks at
+once (one broadcast value per field plus per-bank overrides) and combines
+them with channel-wide constraints (column bus occupancy, tRRD, refresh);
+the per-bank reference scheduler in ``tests/reference_channel.py`` keeps
+one ``Bank`` per bank and is that model's oracle.
 """
 
 from __future__ import annotations

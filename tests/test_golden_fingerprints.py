@@ -20,8 +20,11 @@ import pytest
 
 from repro.cluster import TenantSpec
 from repro.core.config import CentConfig
+from repro.core.performance import PerformanceModel
 from repro.core.system import CentSystem
-from repro.models.config import ModelConfig
+from repro.evaluation.scalability import figure19_scalability
+from repro.mapping.parallelism import PipelineParallel, TensorParallel
+from repro.models.config import LLAMA2_7B, LLAMA2_13B, LLAMA2_70B, ModelConfig
 from repro.models.memory import ModelMemoryProfile
 from repro.serving import ServingEngine
 from repro.workloads import (
@@ -209,3 +212,82 @@ def test_closed_loop_cluster_per_tenant(small_model):
                                   context_step=512, admission="paged")
     assert result.num_migrated_requests > 0
     assert digest(result.tenant_results) == CLUSTER_DIGEST
+
+
+# ----------------------------------------------------------------- cost model
+
+#: Per model, two device counts whose pipeline-parallel mapping fits.
+COST_DEVICES = {LLAMA2_7B: (16, 32), LLAMA2_13B: (20, 40), LLAMA2_70B: (40, 80)}
+
+
+def _cost_cases():
+    cases = {}
+    for model, device_counts in COST_DEVICES.items():
+        for devices in device_counts:
+            for plan in (PipelineParallel(devices, model), TensorParallel(devices)):
+                cases[f"{model.name}/{devices}/{plan.name}"] = (model, devices, plan)
+    return cases
+
+
+COST_CASES = _cost_cases()
+
+
+def block_cost_fingerprint(model, devices, plan):
+    """Every number ``block_cost`` reports, at contexts 1, 257, 2048 and the
+    model's maximum; command counts in their first-issue order."""
+    performance = PerformanceModel(CentConfig(num_devices=devices))
+    rows = []
+    for context in (1, 257, 2048, model.max_context):
+        cost = performance.block_cost(model, plan, context)
+        breakdown = cost.breakdown
+        rows.append((breakdown.pim_ns, breakdown.pnm_ns, breakdown.cxl_ns,
+                     tuple((kind.name, count) for kind, count
+                           in cost.command_counts_per_channel.items()),
+                     cost.dram_bytes_read, cost.flops))
+    return rows
+
+
+#: Recorded at the commit before the cost model's O(1) all-bank scheduling
+#: and compile-input memo; one per ``COST_CASES`` entry plus the Figure 19
+#: rows, which price 70B blocks across ten device counts.
+COST_DIGESTS = {
+    "Llama2-13B/20/PP=40":
+        "52c6af7595595dfd34cfcd86ee0a20d5588af29cba7b5239760476803c83e0e4",
+    "Llama2-13B/20/TP=20":
+        "322414f71484468a7accb8cded0633cb188ac27632da03af461f5ad056f64816",
+    "Llama2-13B/40/PP=40":
+        "83fc4d49de7adb2f2055d71aaefc9d22d8eec75ace5e311eb1c11a10bf90f948",
+    "Llama2-13B/40/TP=40":
+        "6a6667f920becc6cec4ac2bfe62417626daf43c579d65d004465938980326985",
+    "Llama2-70B/40/PP=80":
+        "499ed6c0ff92a012ee05eedccf21cc3c28ac820f3d2fd6dc7154edcbaf350869",
+    "Llama2-70B/40/TP=40":
+        "9d805d27b8b09f891c59b1ca067c9809f1b59adbc6250b897eaef6958d40e92a",
+    "Llama2-70B/80/PP=80":
+        "14dbf12ce37186d2c73c4662d1e7d111108fe7ba2456af4f23b1e97b4afead61",
+    "Llama2-70B/80/TP=80":
+        "054aa66f1980d89a548dcc714e55252adc576945aec547cb488f5d3b1c9c5c07",
+    "Llama2-7B/16/PP=32":
+        "6bb5a9d20eb74504c5fe44c0d2ad7e584b217da1580969b9774b58e0b09e9ce0",
+    "Llama2-7B/16/TP=16":
+        "ba1f84300f6787b2b3431a731d83e614eff2889bad0e17c7250eb30e3f995570",
+    "Llama2-7B/32/PP=32":
+        "0dc55dc31a2fe46282c0fbe4bfd3b6b18a821237354d21fbed3a5065e17d319c",
+    "Llama2-7B/32/TP=32":
+        "c5adb0f52d1603cb8d8518c01c99cc3fda6bbbc24a07b2812c0ad6b797897f82",
+    "figure19_scalability":
+        "a623a949d68a8b1c5f07f24c974b2b9b9b272c69006bb07934bc1beadcd6afcd",
+}
+
+
+def test_cost_digests_cover_the_matrix():
+    assert sorted(COST_DIGESTS) == sorted([*COST_CASES, "figure19_scalability"])
+
+
+@pytest.mark.parametrize("case", sorted(COST_CASES))
+def test_block_cost(case):
+    assert digest(block_cost_fingerprint(*COST_CASES[case])) == COST_DIGESTS[case]
+
+
+def test_figure19_scalability_rows():
+    assert digest(figure19_scalability()) == COST_DIGESTS["figure19_scalability"]

@@ -1,9 +1,10 @@
 """The process-wide program memo under the performance model.
 
 Every operation of a block runs on a fresh PIM channel, so the memo may only
-ever return what that fresh execution would: these tests hold it to an
-uncached oracle, check that its key separates every timing and geometry,
-and count the channel executions it saves.
+ever return what compiling the block and executing it fresh would: these
+tests hold it to an uncached oracle, check that its compile-input key
+separates every timing and geometry, and count the channel executions it
+saves.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler.transformer import compile_transformer_block
+from repro.compiler.allocator import ChannelAllocator
+from repro.compiler.transformer import block_steps, compile_transformer_block
 from repro.core.config import CentConfig
 from repro.core.performance import PROGRAM_MEMO, PerformanceModel, ProgramMemo
 from repro.core.system import CentSystem
@@ -54,13 +56,37 @@ def _fresh_execution(config: CentConfig, model: ModelConfig, context: int,
     return pim_ns, counts
 
 
+def _walk(config: CentConfig, model: ModelConfig, context: int,
+          fc_channels: int, attention_channels: int) -> list:
+    """(memo key, step, allocator row, compiled operations) of every step of
+    the block, with allocators advanced as the block compiler advances them."""
+    allocators = {}
+    walked = []
+    for step in block_steps(model, context, fc_channels, attention_channels):
+        allocator = row = None
+        if step.allocator is not None:
+            allocator = allocators.setdefault(step.allocator,
+                                              ChannelAllocator(config.geometry))
+            row = allocator.next_row
+        key = ProgramMemo.key(step, row, config.timing, config.geometry)
+        walked.append((key, step, row, step.compile_on(allocator, config.geometry)))
+    return walked
+
+
+def _step_keys(config: CentConfig, model: ModelConfig, context: int,
+               fc_channels: int, attention_channels: int) -> list:
+    return [key for key, _, _, _ in _walk(config, model, context, fc_channels,
+                                          attention_channels)]
+
+
 def _program_keys(config: CentConfig, model: ModelConfig, context: int,
                   fc_channels: int, attention_channels: int) -> list:
-    block = compile_transformer_block(
-        model, context, num_channels=fc_channels,
-        attention_channels=attention_channels, geometry=config.geometry)
-    return [ProgramMemo.key(operation.program, config.timing, config.geometry)
-            for operation in block.operations if len(operation.program)]
+    """One (step key, position in the step) per non-empty program."""
+    return [(key, index)
+            for key, _, _, operations in _walk(config, model, context,
+                                               fc_channels, attention_channels)
+            for index, operation in enumerate(operations)
+            if len(operation.program)]
 
 
 def _plan(tp_devices: int, channels_per_device: int) -> ParallelismPlan:
@@ -105,7 +131,7 @@ class TestProgramMemoOracle:
             cost = performance.block_cost(model, plan, context)
             assert cost.breakdown.pim_ns == pim_ns
             assert list(cost.command_counts_per_channel.items()) == list(counts.items())
-        for key in _program_keys(config, model, context, fc, attention):
+        for key in _step_keys(config, model, context, fc, attention):
             assert key in PROGRAM_MEMO
 
     def test_timing_and_geometry_never_share_an_entry(self, small_model):
@@ -125,7 +151,7 @@ class TestProgramMemoOracle:
             cost = PerformanceModel(config).block_cost(small_model, plan, 128)
             pim_ns, _ = _fresh_execution(config, small_model, 128, fc, attention)
             assert cost.breakdown.pim_ns == pim_ns
-            keys = set(_program_keys(config, small_model, 128, fc, attention))
+            keys = set(_step_keys(config, small_model, 128, fc, attention))
             assert all(key in PROGRAM_MEMO for key in keys)
             key_sets.append(keys)
         for index, keys in enumerate(key_sets):
@@ -135,11 +161,10 @@ class TestProgramMemoOracle:
     def test_capacity_bounds_the_memo(self, small_model):
         memo = ProgramMemo(capacity=3)
         config = CentConfig(num_devices=4)
-        block = compile_transformer_block(small_model, 64, num_channels=8)
-        programs = [operation.program for operation in block.operations
-                    if len(operation.program)]
-        for program in programs:
-            memo.outcome(program, config.timing, config.geometry)
+        walked = _walk(config, small_model, 64, 8, 8)
+        for _, step, row, _ in walked:
+            memo.cost(step, row, config.timing, config.geometry)
+        assert len(walked) > 3
         assert len(memo) == 3
         with pytest.raises(ValueError):
             ProgramMemo(capacity=0)
@@ -147,21 +172,19 @@ class TestProgramMemoOracle:
     def test_concurrent_lookups_stay_exact_and_bounded(self, small_model):
         """Replicas advancing on worker threads share the memo."""
         config = CentConfig(num_devices=4)
-        block = compile_transformer_block(small_model, 64, num_channels=8)
-        programs = [operation.program for operation in block.operations
-                    if len(operation.program)]
-        expected = [ProgramMemo(capacity=64).outcome(
-            program, config.timing, config.geometry) for program in programs]
+        steps = [(step, row) for _, step, row, _ in _walk(config, small_model, 64, 8, 8)]
+        expected = [ProgramMemo(capacity=64).cost(
+            step, row, config.timing, config.geometry) for step, row in steps]
         memo = ProgramMemo(capacity=4)
         failures = []
 
         def worker(offset: int) -> None:
             for round_index in range(3):
-                for position in range(len(programs)):
-                    index = (position + offset + round_index) % len(programs)
-                    outcome = memo.outcome(programs[index], config.timing,
-                                           config.geometry)
-                    if outcome != expected[index]:
+                for position in range(len(steps)):
+                    index = (position + offset + round_index) % len(steps)
+                    step, row = steps[index]
+                    cost = memo.cost(step, row, config.timing, config.geometry)
+                    if cost != expected[index]:
                         failures.append(index)
                     if len(memo) > memo.capacity:
                         failures.append("bound")
