@@ -93,6 +93,13 @@ class CodeCounter:
             self._order.append(code)
         counts[code] += amount
 
+    def __getitem__(self, code: int) -> int:
+        return self._counts[code]
+
+    @property
+    def total(self) -> int:
+        return sum(self._counts)
+
     def items(self) -> Dict:
         """``{key: count}`` in the order each key was first counted."""
         return {self.keys[code]: self._counts[code] for code in self._order}
@@ -114,11 +121,7 @@ class CommandStats(CodeCounter):
         self.add(_CODES[kind], amount)
 
     def count(self, kind: CommandType) -> int:
-        return self._counts[_CODES[kind]]
-
-    @property
-    def total(self) -> int:
-        return sum(self._counts)
+        return self[_CODES[kind]]
 
     def merge(self, other: "CommandStats") -> None:
         for code in other._order:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 __all__ = [
+    "OPCODES",
     "Opcode",
     "Instruction",
     "MacAllBank",
@@ -90,11 +91,23 @@ class Opcode(enum.Enum):
         return self in (Opcode.SEND_CXL, Opcode.RECV_CXL, Opcode.BCAST_CXL)
 
 
+#: Every opcode, in declaration order; an opcode's index is its code.
+OPCODES = tuple(Opcode)
+
+
 @dataclass
 class Instruction:
     """Base class of all CENT instructions."""
 
     opcode: ClassVar[Opcode]
+    #: ``opcode``'s index in :data:`OPCODES`: per-opcode counters index by
+    #: it instead of hashing the enum member (a Python-level hash).
+    code: ClassVar[int]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "opcode" in cls.__dict__:
+            cls.code = OPCODES.index(cls.opcode)
 
     @property
     def micro_op_count(self) -> int:

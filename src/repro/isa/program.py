@@ -2,41 +2,53 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.dram.channel import CodeCounter
+from repro.isa.instructions import OPCODES, Instruction, Opcode
 
 __all__ = ["Program", "ProgramStats"]
 
 
-@dataclass
 class ProgramStats:
-    """Static statistics of a program, independent of any timing model."""
+    """Static statistics of a program, independent of any timing model.
 
-    instruction_counts: Dict[Opcode, int] = field(default_factory=dict)
-    micro_op_counts: Dict[Opcode, int] = field(default_factory=dict)
+    Counts by integer opcode code (``Instruction.code``); the dict views
+    list opcodes in the order each was first recorded.
+    """
+
+    __slots__ = ("_instructions", "_micro_ops")
+
+    def __init__(self) -> None:
+        self._instructions = CodeCounter(OPCODES)
+        self._micro_ops = CodeCounter(OPCODES)
 
     def record(self, instruction: Instruction) -> None:
-        opcode = instruction.opcode
-        self.instruction_counts[opcode] = self.instruction_counts.get(opcode, 0) + 1
-        self.micro_op_counts[opcode] = (
-            self.micro_op_counts.get(opcode, 0) + instruction.micro_op_count
-        )
+        code = instruction.code
+        self._instructions.add(code)
+        self._micro_ops.add(code, instruction.micro_op_count)
+
+    @property
+    def instruction_counts(self) -> Dict[Opcode, int]:
+        return self._instructions.items()
+
+    @property
+    def micro_op_counts(self) -> Dict[Opcode, int]:
+        return self._micro_ops.items()
 
     @property
     def total_instructions(self) -> int:
-        return sum(self.instruction_counts.values())
+        return self._instructions.total
 
     @property
     def total_micro_ops(self) -> int:
-        return sum(self.micro_op_counts.values())
+        return self._micro_ops.total
 
     def count(self, opcode: Opcode) -> int:
-        return self.instruction_counts.get(opcode, 0)
+        return self._instructions[OPCODES.index(opcode)]
 
     def micro_ops(self, opcode: Opcode) -> int:
-        return self.micro_op_counts.get(opcode, 0)
+        return self._micro_ops[OPCODES.index(opcode)]
 
     def mac_fraction(self) -> float:
         """Fraction of arithmetic micro-ops that are MAC operations.
@@ -50,9 +62,7 @@ class ProgramStats:
         )
         if arithmetic == 0:
             return 0.0
-        macs = self.micro_op_counts.get(Opcode.MAC_ABK, 0) + self.micro_op_counts.get(
-            Opcode.EW_MUL, 0
-        )
+        macs = self.micro_ops(Opcode.MAC_ABK) + self.micro_ops(Opcode.EW_MUL)
         return macs / arithmetic
 
 

@@ -104,6 +104,23 @@ class KvAllocator:
         """
         return self.shared_blocks(owner) * self.pool.block_tokens
 
+    def would_refuse(self, owner: Hashable, tokens: int, *,
+                     prefix: Optional[Hashable] = None) -> bool:
+        """True when :meth:`allocate` with these arguments is certain to
+        return False *and* change nothing: the pool blocks it asks for
+        exceed the free blocks, and no refcount-zero chain exists for the
+        shortage reclaim to take.  The serving engine skips such a call."""
+        pool = self.pool
+        if pool.idle_chains:
+            return False
+        blocks = pool.blocks_for(tokens)
+        key = self._shared.get(owner)
+        if key is None and prefix is not None and prefix in pool.prefix_chains:
+            key = prefix
+        if key is not None:
+            blocks -= pool.prefix_chains[key].tokens // pool.block_tokens
+        return blocks > pool.free_blocks
+
     @property
     def num_owners(self) -> int:
         return len(self._tokens)
@@ -200,6 +217,12 @@ class KvAllocator:
                 f"allocations only grow ({owner!r} holds {held} tokens, "
                 f"asked for {tokens}); release and re-allocate to shrink"
             )
+        block_tokens = self.pool.block_tokens
+        if -(-tokens // block_tokens) == -(-held // block_tokens):
+            # Same block count (holds_blocks == blocks_for(held) always):
+            # the common one-token decode growth needs nothing from the pool.
+            self._tokens[owner] = tokens
+            return True
         needed = self.pool.blocks_for(tokens) - self.holds_blocks(owner)
         if needed > 0 and not self.pool.allocate(needed):
             return False
@@ -287,8 +310,8 @@ class KvAllocator:
         tail = 1 if tokens % block_tokens else 0
         if tail and not self.pool.allocate(tail):
             return False
-        chain = self.pool.prefix_adopt(key, tokens, shared + tail, now_s)
-        chain.refcount = 1
+        self.pool.prefix_adopt(key, tokens, shared + tail, now_s)
+        self.pool.prefix_attach(key, now_s)
         self._blocks[owner] -= shared
         self._shared[owner] = key
         recorder = self.recorder

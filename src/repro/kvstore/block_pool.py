@@ -14,7 +14,9 @@ key (tenant system prompts, few-shot preambles) with a reference count of
 the allocations currently reading them.  A chain's blocks sit inside
 ``used_blocks`` exactly once however many requests share them; an
 unreferenced chain stays cached — and evictable coldest-first — until pool
-pressure reclaims it (:meth:`prefix_evict`).
+pressure reclaims it (:meth:`prefix_evict`).  ``idle_chains`` counts the
+chains at refcount zero, so "could a shortage reclaim anything?" is one
+integer test; every refcount change goes through the pool to keep it exact.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ class BlockPool:
         self.free_blocks = self.num_blocks
         #: Resident shared-prefix chains, keyed by prefix hash.
         self.prefix_chains: Dict[Hashable, PrefixChain] = {}
+        #: Resident chains at refcount zero (the evictable ones).
+        self.idle_chains = 0
         self._prefix_seq = 0
 
     # ------------------------------------------------------------------ sizing
@@ -172,6 +176,7 @@ class BlockPool:
         chain = PrefixChain(key, tokens, blocks, now_s, self._prefix_seq)
         self._prefix_seq += 1
         self.prefix_chains[key] = chain
+        self.idle_chains += 1
         return chain
 
     def prefix_adopt(self, key: Hashable, tokens: int, blocks: int,
@@ -193,11 +198,14 @@ class BlockPool:
         chain = PrefixChain(key, tokens, blocks, now_s, self._prefix_seq)
         self._prefix_seq += 1
         self.prefix_chains[key] = chain
+        self.idle_chains += 1
         return chain
 
     def prefix_attach(self, key: Hashable, now_s: float = 0.0) -> PrefixChain:
         """Pin the chain for ``key`` on behalf of one more reader."""
         chain = self.prefix_chains[key]
+        if chain.refcount == 0:
+            self.idle_chains -= 1
         chain.refcount += 1
         chain.last_use_s = now_s
         return chain
@@ -208,6 +216,8 @@ class BlockPool:
         if chain.refcount <= 0:
             raise ValueError(f"prefix chain {key!r} has no readers to detach")
         chain.refcount -= 1
+        if chain.refcount == 0:
+            self.idle_chains += 1
         chain.last_use_s = now_s
         return chain
 
@@ -219,6 +229,7 @@ class BlockPool:
                 f"prefix chain {key!r} still has {chain.refcount} readers"
             )
         del self.prefix_chains[key]
+        self.idle_chains -= 1
         self.release(chain.blocks)
         return chain.blocks
 

@@ -45,7 +45,10 @@ the batch decodes in lockstep, and the measured decode throughput matches
 Inside, :meth:`ServingEngine.advance` is a short loop over phase
 methods that each take the :class:`EngineState`: admit/resume, build the
 iteration (``_build_vectorized``, or ``_build_scalar``, its reference
-oracle), fast-forward, grow-or-preempt, price, then apply and retire.  Every
+oracle), then fast-forward or one ordinary iteration: grow-or-preempt,
+price, then apply and retire.  Under paged pressure the fast-forward also
+runs the eviction iterations that end its windows, for as long as the loop
+top between them provably changes nothing.  Every
 reserve-vs-paged decision sits behind one admission seam: ``begin`` picks
 ``_ReserveAdmission`` or ``_PagedAdmission`` once and the phases ask it.
 
@@ -126,6 +129,14 @@ class EngineMeasurements:
     #: ``(time_s, request_id)`` per eviction, in victim order (paged mode).
     preemption_log: List[Tuple[float, int]] = field(
         default_factory=list, kw_only=True)
+    # Engine work counters: deterministic for a given trace and engine, so
+    # tests pin them; the scalar oracle never fast-forwards.
+    #: Trips through the top of the ``advance`` loop (admission phase runs).
+    loop_tops: int = field(default=0, kw_only=True, compare=False)
+    #: Fast-forward windows of at least one decode step.
+    ff_windows: int = field(default=0, kw_only=True, compare=False)
+    #: Eviction iterations a fast-forward ran in place of a loop top.
+    window_evictions: int = field(default=0, kw_only=True, compare=False)
 
 
 @dataclass
@@ -320,6 +331,12 @@ class _Admission:
         exhaustion; returns the ``(decode_batch, prefill_work)`` that run."""
         return decode_batch, prefill_work
 
+    def blocked(self, state: EngineState) -> bool:
+        """Whether the next loop top's resume/admission phase provably
+        changes nothing (every try it makes is refused without side
+        effects); ``False`` whenever that is not certain."""
+        return False
+
     def note_peak(self, state: EngineState) -> None:
         state.peak_memory = max(state.peak_memory,
                                 state.weight_bytes + self.resident_bytes())
@@ -443,10 +460,16 @@ class _PagedAdmission(_Admission):
         return slots
 
     def try_resume(self, state: EngineState, request: ServingRequest) -> bool:
-        # All-or-nothing, so a failure holds nothing.
-        return self.allocator.allocate(request.request_id,
-                                       request.resume_kv_tokens,
-                                       now_s=state.clock)
+        # All-or-nothing, so a failure holds nothing; a retry that cannot
+        # succeed is not even made (same outcome, no allocator call).
+        allocator = self.allocator
+        owner, tokens = request.request_id, request.resume_kv_tokens
+        if allocator.would_refuse(owner, tokens):
+            return False
+        return allocator.allocate(owner, tokens, now_s=state.clock)
+
+    def _prefix_key(self, request: ServingRequest):
+        return request.query.prefix_key if self.prefix_sharing else None
 
     def try_admit(self, state: EngineState, head: ServingRequest) -> bool:
         """Allocate the waiting head's prompt blocks, prefix-aware: a
@@ -456,7 +479,10 @@ class _PagedAdmission(_Admission):
         full prompt and promotes its prefix into a chain once prefilled."""
         allocator = self.allocator
         query = head.query
-        key = query.prefix_key if self.prefix_sharing else None
+        key = self._prefix_key(head)
+        if allocator.would_refuse(head.request_id, query.prompt_tokens,
+                                  prefix=key):
+            return False
         if key is None:
             if not allocator.allocate(head.request_id, query.prompt_tokens):
                 return False
@@ -479,6 +505,21 @@ class _PagedAdmission(_Admission):
 
     def admitted_args(self, request: ServingRequest) -> dict:
         return {"kv_tokens": request.kv_tokens}
+
+    def blocked(self, state: EngineState) -> bool:
+        # With a parked request, fresh admission waits; otherwise only the
+        # waiting head is tried.  Either way every try must be refused.
+        if len(state.running) >= state.slots:
+            return True
+        refuses = self.allocator.would_refuse
+        if state.preempted:
+            return all(refuses(r.request_id, r.resume_kv_tokens)
+                       for r in state.preempted)
+        if state.waiting:
+            head = state.waiting[0]
+            return refuses(head.request_id, head.query.prompt_tokens,
+                           prefix=self._prefix_key(head))
+        return True
 
     def resident_bytes(self) -> int:
         return int(self.allocator.allocated_bytes * self.kv_scale)
@@ -552,12 +593,19 @@ class _PagedAdmission(_Admission):
         """Grow each decodable request's KV to its context, evicting on
         pool exhaustion; returns the requests that may decode now."""
         allocator, policy = self.allocator, self.policy
-        running, clock = state.running, state.clock
+        running, clock, cols = state.running, state.clock, state.columns
+        # A candidate's target changes only when it grows itself, so one
+        # gather reads every target the walk below grows to.
+        rows = np.fromiter((r._row for r in candidates), dtype=np.intp,
+                           count=len(candidates))
+        targets = np.maximum(
+            cols.prompt_tokens[rows] - cols.prefill_remaining[rows]
+            + cols.tokens_generated[rows], cols.kv_tokens[rows]).tolist()
         batch: List[ServingRequest] = []
-        for request in candidates:
-            if request.state is RequestState.PREEMPTED:
+        evicted = set()
+        for request, target in zip(candidates, targets, strict=True):
+            if request in evicted:
                 continue  # evicted by an earlier candidate's growth
-            target = max(request.context_length, request.kv_tokens)
             grown = allocator.grow(request.request_id, target)
             while not grown:
                 victims = [r for r in running
@@ -573,6 +621,7 @@ class _PagedAdmission(_Admission):
                     allocator.evict_prefix(victim.key)
                 elif victim is not None:
                     self._preempt(state, victim)
+                    evicted.add(victim)
                     if victim in batch:
                         batch.remove(victim)
                 else:
@@ -721,7 +770,8 @@ class ServingEngine:
     vectorize:
         ``True`` (default): price mixed batches with the cost model's
         vectorized entry points and fast-forward uneventful all-decode
-        stretches in closed form.  ``False`` forces the scalar
+        stretches in closed form, running the paged evictions that end
+        them inside the fast-forward.  ``False`` forces the scalar
         per-request, per-iteration loop.  Both paths are bit-exact with
         each other (the vectorized folds reproduce the scalar float
         arithmetic operation for operation); ``False`` is the reference
@@ -1062,6 +1112,9 @@ class ServingEngine:
             recorder=state.recorder,
             queue_depth_timeline=state.queue_depth_timeline,
             preemption_log=state.preemption_log,
+            loop_tops=state.loop_tops,
+            ff_windows=state.ff_windows,
+            window_evictions=state.window_evictions,
         )
 
     # --------------------------------------------------------------- event loop
@@ -1080,6 +1133,7 @@ class ServingEngine:
         while state.pending or state.waiting or state.preempted or state.running:
             if until_s is not None and state.clock >= until_s:
                 break
+            state.loop_tops += 1
             self._admit(state)
             if not state.running:
                 # Idle: jump to the next arrival (or stop at the segment
@@ -1089,24 +1143,13 @@ class ServingEngine:
                     continue
                 break
             prefill_work, decode_batch, all_decode_ready = build(state)
-            if all_decode_ready and self._fast_forward(state, until_s):
-                continue
-            if decode_batch:
-                decode_batch, prefill_work = state.admission.grow(
-                    state, decode_batch, prefill_work)
-            if not prefill_work and not decode_batch:
-                # Everyone runnable is waiting on a swap-in; jump to the
-                # first restore completion (or the next arrival, whichever
-                # is sooner) instead of spinning.
-                clock = state.clock
-                restores = [r.restore_ready_s for r in state.running
-                            if r.restore_ready_s > clock]
-                if self._jump(state, until_s, restores,
-                              "running requests but no schedulable work"):
-                    continue
+            if all_decode_ready:
+                advanced = self._fast_forward(state, until_s)
+            else:
+                advanced = self._iterate(state, until_s, prefill_work,
+                                         decode_batch)
+            if not advanced:
                 break
-            batch_rows = self._price(state, prefill_work, decode_batch)
-            self._apply(state, prefill_work, decode_batch, batch_rows)
         return self.snapshot(state)
 
     @staticmethod
@@ -1129,21 +1172,38 @@ class ServingEngine:
         state.clock = next_s
         return True
 
+    @staticmethod
+    def _arrive(state: EngineState) -> None:
+        """A loop top's first step: arrivals up to the clock join
+        ``waiting``, and passive emitters (the KV allocator) stamp their
+        events with the engine clock from here on."""
+        clock, pending, waiting = state.clock, state.pending, state.waiting
+        while pending and pending[0].arrival_time_s <= clock:
+            waiting.append(pending.popleft())
+        rec = state.recorder
+        if rec is not None:
+            rec.now_s = clock
+
+    @staticmethod
+    def _sample_top(state: EngineState) -> None:
+        """A loop top's last step: its ``(time_s, queued, running)`` sample."""
+        sample = (state.clock, len(state.waiting) + len(state.preempted),
+                  len(state.running))
+        # An unsegmented run never repeats a sample (the clock strictly
+        # advances between loop tops); resuming a segment would, so the
+        # guard keeps segmented timelines identical to unsegmented ones.
+        timeline = state.queue_depth_timeline
+        if not timeline or timeline[-1] != sample:
+            timeline.append(sample)
+
     def _admit(self, state: EngineState) -> None:
         """Admit/resume phase: arrivals join ``waiting``; preempted requests
         resume first (eviction order), so fresh admissions cannot starve a
         victim's restore; then FCFS admission while a slot and the KV
         capacity allow.  Ends with the loop top's queue-depth sample."""
-        clock = state.clock
-        pending, waiting = state.pending, state.waiting
-        preempted, running = state.preempted, state.running
-        while pending and pending[0].arrival_time_s <= clock:
-            waiting.append(pending.popleft())
-        rec = state.recorder
-        if rec is not None:
-            # Passive emitters (the KV allocator) stamp their events with
-            # the engine clock; refresh it once per loop top.
-            rec.now_s = clock
+        self._arrive(state)
+        clock, rec = state.clock, state.recorder
+        waiting, preempted, running = state.waiting, state.preempted, state.running
         admission = state.admission
         slots = state.slots
         n_running = len(running)
@@ -1173,13 +1233,7 @@ class ServingEngine:
             # Admission only appends, so a length change is the exact
             # signal that the row gather went stale.
             state.running_rows = None
-        sample = (clock, len(waiting) + len(preempted), len(running))
-        # An unsegmented run never repeats a sample (the clock strictly
-        # advances between loop tops); resuming a segment would, so the
-        # guard keeps segmented timelines identical to unsegmented ones.
-        timeline = state.queue_depth_timeline
-        if not timeline or timeline[-1] != sample:
-            timeline.append(sample)
+        self._sample_top(state)
 
     def _resume(self, state: EngineState, request: ServingRequest) -> None:
         """Bring a preempted request back; its KV is already held again."""
@@ -1265,14 +1319,21 @@ class ServingEngine:
                             and r.restore_ready_s <= clock]
         return prefill_work, decode_batch, False
 
+    @staticmethod
+    def _rows(state: EngineState) -> np.ndarray:
+        """Row indices of ``running`` in ``columns``, gathered on demand."""
+        rows = state.running_rows
+        if rows is None:
+            running = state.running
+            rows = state.running_rows = np.fromiter(
+                (r._row for r in running), dtype=np.intp, count=len(running))
+        return rows
+
     def _build_vectorized(self, state: EngineState):
         """One gather per column replaces the scalar build's per-request
         property walk; the resulting lists are identical."""
         running = state.running
-        rows = state.running_rows
-        if rows is None:
-            rows = state.running_rows = np.fromiter(
-                (r._row for r in running), dtype=np.intp, count=len(running))
+        rows = self._rows(state)
         cols = state.columns
         pre = cols.prefill_remaining[rows]
         res = cols.restore_remaining[rows]
@@ -1301,14 +1362,57 @@ class ServingEngine:
         return prefill_work, decode_batch, False
 
     def _fast_forward(self, state: EngineState, until_s: Optional[float]) -> bool:
-        """Event-horizon fast-forward of an all-decode-ready batch, the
-        dominant large-trace regime: advance as many one-token iterations as
-        provably hold no event — a completion, a KV exhaustion, an
-        admission-changing arrival, or the segment bound — in one closed-form
-        step whose float arithmetic replays the scalar loop operation for
-        operation (see ``decode_span_s``).  ``False`` when not one step
-        qualifies; the iteration then takes the ordinary path."""
-        rows, cols = state.running_rows, state.columns
+        """Advance an all-decode-ready batch, the dominant large-trace
+        regime, through closed-form windows (:meth:`_window`).  A window
+        ends at the first event: a completion, an admission-changing
+        arrival, the segment bound — or a decode step the block pool cannot
+        cover.  On that last one the eviction iteration runs here, exactly
+        as the loop would run it: the loop top's queue sample and clock
+        stamp (:meth:`_stand_in_top`), then the grow-or-preempt walk.  When
+        the loop top after it provably changes nothing, the surviving
+        batch's decode step opens the next window instead of being priced
+        alone (the window prices it identically).  Any other event, or a
+        loop top that might admit or resume, returns to the loop.  ``False``
+        when the segment must stop."""
+        while True:
+            steps, exhausted = self._window(state, until_s)
+            if not exhausted:
+                if steps:
+                    return True
+                return self._iterate(state, until_s, [], list(state.running))
+            if steps:
+                if not self._stand_in_top(state, until_s):
+                    return True
+                state.window_evictions += 1
+            decode_batch, _ = state.admission.grow(state, list(state.running), [])
+            # A non-empty batch is the whole surviving ``running`` list.
+            if not decode_batch or not state.admission.blocked(state):
+                return self._execute(state, until_s, [], decode_batch)
+
+    def _stand_in_top(self, state: EngineState, until_s: Optional[float]) -> bool:
+        """Take the next loop top's place when it provably changes nothing:
+        the segment bound is not reached and every resume or admission try
+        it would make is refused without side effects (``blocked``).
+        Records what that loop top records (crossed arrivals join
+        ``waiting``, the clock stamp, the queue sample); ``False`` when the
+        real loop top must run instead."""
+        if until_s is not None and state.clock >= until_s:
+            return False
+        self._arrive(state)
+        if not state.admission.blocked(state):
+            return False
+        self._sample_top(state)
+        return True
+
+    def _window(self, state: EngineState,
+                until_s: Optional[float]) -> Tuple[int, bool]:
+        """One event-horizon window: advance as many one-token iterations
+        as provably hold no event in one closed-form step whose float
+        arithmetic replays the scalar loop operation for operation (see
+        ``decode_span_s``).  Returns ``(steps, exhausted)``: ``exhausted``
+        when the window stopped only because the block pool cannot cover
+        the next decode step (``steps`` may then be zero)."""
+        rows, cols = self._rows(state), state.columns
         running, clock = state.running, state.clock
         gen = cols.tokens_generated[rows]
         ctx0 = cols.prompt_tokens[rows] + gen
@@ -1317,9 +1421,11 @@ class ServingEngine:
         # first completion bounds it; the span-matrix cap only splits a
         # longer window, which prices identically.
         horizon = int(remaining_tokens.min())
-        k = state.admission.cap_window(state, ctx0, min(horizon, 4096))
-        if k == 0:
-            return False
+        limit = min(horizon, 4096)
+        covered = state.admission.cap_window(state, ctx0, limit)
+        if covered == 0:
+            return 0, True
+        k = covered
         # An iteration runs only while its loop-top clock stays under the
         # segment bound — and under the next arrival when admission could
         # accept it.  With a full batch, a non-empty waiting/preempted
@@ -1355,7 +1461,7 @@ class ServingEngine:
             steps = min(steps, int(np.searchsorted(clocks[:k], bound,
                                                    side="left")))
         if steps == 0:
-            return False
+            return 0, False
         clock_end = float(clocks[steps])
         state.admission.commit_window(state, ctx0, steps)
         if steps > 1:
@@ -1385,11 +1491,12 @@ class ServingEngine:
                             clock, clock_end, steps, 0)
             rec.now_s = clock_end
         state.clock = clock_end
+        state.ff_windows += 1
         if steps == horizon:
             done = (remaining_tokens == steps).tolist()
             self._retire(state, [r for r, last in zip(running, done, strict=True)
                                  if last])
-        return True
+        return steps, steps == covered < limit
 
     @staticmethod
     def _sample_window(state: EngineState, clocks: np.ndarray,
@@ -1419,6 +1526,34 @@ class ServingEngine:
                 sample = (top, queued[index], n_running)
                 if not timeline or timeline[-1] != sample:
                     timeline.append(sample)
+
+    def _iterate(self, state: EngineState, until_s: Optional[float],
+                 prefill_work: List[tuple],
+                 decode_batch: List[ServingRequest]) -> bool:
+        """One ordinary iteration: grow the decode batch's KV (evicting on
+        exhaustion), then price and apply it.  When everyone runnable is
+        waiting on a swap-in, jump to the first restore completion (or the
+        next arrival, whichever is sooner) instead of spinning.  ``False``
+        when the segment must stop."""
+        if decode_batch:
+            decode_batch, prefill_work = state.admission.grow(
+                state, decode_batch, prefill_work)
+        return self._execute(state, until_s, prefill_work, decode_batch)
+
+    def _execute(self, state: EngineState, until_s: Optional[float],
+                 prefill_work: List[tuple],
+                 decode_batch: List[ServingRequest]) -> bool:
+        """Price and apply an iteration whose KV is held, or jump when it
+        has no work (see :meth:`_iterate`)."""
+        if not prefill_work and not decode_batch:
+            clock = state.clock
+            restores = [r.restore_ready_s for r in state.running
+                        if r.restore_ready_s > clock]
+            return self._jump(state, until_s, restores,
+                              "running requests but no schedulable work")
+        batch_rows = self._price(state, prefill_work, decode_batch)
+        self._apply(state, prefill_work, decode_batch, batch_rows)
+        return True
 
     def _price(self, state: EngineState, prefill_work: List[tuple],
                decode_batch: List[ServingRequest]) -> Optional[np.ndarray]:

@@ -252,8 +252,10 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
     pool's used blocks are exactly the owners' private resident blocks plus
     the chains' shared blocks (nothing double-counted through a COW tail or
     a promote), every chain's refcount equals its attached readers —
-    *including* parked preemption victims pinning their prefix — and each
-    owner still logically covers ``blocks_for(tokens)``."""
+    *including* parked preemption victims pinning their prefix — the pool
+    counts its refcount-zero chains exactly, each owner still logically
+    covers ``blocks_for(tokens)``, and an allocation ``would_refuse``
+    predicts never succeeds."""
     from repro.kvstore import BlockPool, KvAllocator
 
     pools = [BlockPool(budget_bytes=num_blocks * 16 * 10, bytes_per_token=10,
@@ -266,14 +268,19 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
         clock += 1.0
         side = key % 2
         if kind == "allocate" and owner not in held and owner not in parked:
+            refused = allocators[side].would_refuse(owner, tokens)
             if allocators[side].allocate(owner, tokens, now_s=clock):
+                assert not refused
                 held[owner] = (side, tokens)
         elif kind == "attach" and owner not in held and owner not in parked:
             chain = pools[side].prefix_get(("p", key))
             if chain is not None:
                 target = max(tokens, chain.tokens)
+                refused = allocators[side].would_refuse(owner, target,
+                                                        prefix=("p", key))
                 if allocators[side].allocate(owner, target, prefix=("p", key),
                                              now_s=clock):
+                    assert not refused
                     held[owner] = (side, target)
         elif kind == "grow" and owner in held:
             where, current = held[owner]
@@ -289,7 +296,9 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
             where = parked[owner]
             chain_key = allocators[where].shared_key(owner)
             target = max(tokens, pools[where].prefix_chains[chain_key].tokens)
+            refused = allocators[where].would_refuse(owner, target)
             if allocators[where].allocate(owner, target, now_s=clock):
+                assert not refused
                 del parked[owner]
                 held[owner] = (where, target)
         elif kind == "release" and owner in held:
@@ -321,6 +330,8 @@ def test_prefix_chain_blocks_and_refcounts_conserved(num_blocks, ops):
             assert pool.free_blocks + pool.used_blocks == pool.num_blocks
             assert pool.prefix_blocks == sum(
                 chain.blocks for chain in pool.prefix_chains.values())
+            assert pool.idle_chains == sum(
+                chain.refcount == 0 for chain in pool.prefix_chains.values())
             assert pool.used_blocks == pool.prefix_blocks + sum(
                 allocator.holds_resident_blocks(o) for o in owners)
             for chain in pool.prefix_chains.values():

@@ -8,20 +8,31 @@ contract with full-run fingerprints — every per-request timestamp, every
 time-between-tokens sample, the whole queue-depth timeline — across the
 admission/preemption/migration scenario matrix, plus direct equivalence
 of the batch cost-model entry points and the O(batch) ``extend``
-regression.
+regression.  Under paged pressure the fast-forward also runs eviction
+iterations inside its windows (a fused chain); those chains are checked
+case by case and over random pressure configurations.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CentConfig
 from repro.core.iteration import IterationCostModel
 from repro.core.system import CentSystem
+from repro.kvstore.preemption import PreemptionPolicy
 from repro.mapping.parallelism import ParallelismPlan
 from repro.models.config import ModelConfig
+from repro.models.memory import ModelMemoryProfile
 from repro.serving import ServingEngine
+from repro.serving.engine import _PagedAdmission
+from repro.telemetry import TraceRecorder
 from repro.workloads import (
     poisson_arrivals,
+    prefix_reuse_queries,
     sharegpt_like_queries,
     with_arrivals,
 )
@@ -54,7 +65,10 @@ def run_fingerprint(engine, trace, *, until_points=()):
     state = engine.begin(trace)
     for until_s in until_points:
         engine.advance(state, until_s=until_s)
-    run = engine.advance(state)
+    return fingerprint_of(engine.advance(state))
+
+
+def fingerprint_of(run):
     # Every generated token after the first leaves exactly one sample.
     assert all(len(r.tbt_samples_s) == max(r.tokens_generated - 1, 0)
                for r in run.requests)
@@ -237,3 +251,238 @@ class TestExtendBookkeeping:
         admitted = [r.admitted_time_s for r in by_arrival
                     if r.admitted_time_s is not None]
         assert admitted == sorted(admitted)
+
+
+# ------------------------------------------------------------ fused chains
+
+
+def kv_capacity(model, tokens):
+    """Memory for the weights plus ``tokens`` tokens of KV cache."""
+    profile = ModelMemoryProfile(model)
+    return int(profile.parameter_bytes
+               + tokens * profile.kv_cache_bytes_per_token())
+
+
+def prefix_pressure_trace(seed=1):
+    """60 prefix-sharing requests at 200 qps: paged memory thrashes."""
+    queries = prefix_reuse_queries(
+        60, num_tenants=3, reuse_fraction=0.8, mean_prefix_tokens=200.0,
+        mean_decode_tokens=200.0, sigma=0.3, seed=seed, max_context=2048)
+    return with_arrivals(queries, poisson_arrivals(60, 200.0, seed=seed))
+
+
+class EvictionSpy:
+    """Tallies what the eviction paths did, and whether a fast-forward call
+    (a fused chain, never the scalar oracle) was running at the time."""
+
+    def __init__(self, monkeypatch):
+        self.in_window = False
+        self.seen = Counter()
+        fast_forward = ServingEngine._fast_forward
+        stand_in_top = ServingEngine._stand_in_top
+        select_eviction = PreemptionPolicy.select_eviction
+        preempt = _PagedAdmission._preempt
+        try_resume = _PagedAdmission.try_resume
+
+        def spied_fast_forward(engine, state, until_s):
+            self.in_window = True
+            fused = state.window_evictions
+            try:
+                return fast_forward(engine, state, until_s)
+            finally:
+                self.in_window = False
+                if (state.window_evictions > fused and until_s is not None
+                        and state.clock >= until_s):
+                    self.seen["chain cut by until_s"] += 1
+
+        def spied_stand_in_top(engine, state, until_s):
+            pending = len(state.pending)
+            stood_in = stand_in_top(engine, state, until_s)
+            if stood_in and len(state.pending) < pending:
+                self.seen["arrival crossed mid-chain"] += 1
+            return stood_in
+
+        def spied_select_eviction(policy, candidates, chains, clock=0.0):
+            kind, victim = select_eviction(policy, candidates, chains, clock)
+            if kind == "chain" and self.in_window:
+                self.seen["chain victim in window"] += 1
+            return kind, victim
+
+        def spied_preempt(admission, state, victim):
+            if victim.restore_remaining > 0:
+                self.seen["re-evicted mid-rebuild"] += 1
+            if self.in_window and victim.kv_tokens >= victim.context_length:
+                self.seen["grown victim in window"] += 1
+            return preempt(admission, state, victim)
+
+        def spied_try_resume(admission, state, request):
+            if admission.allocator.pool.idle_chains:
+                self.seen["idle chain at resume"] += 1
+            return try_resume(admission, state, request)
+
+        monkeypatch.setattr(ServingEngine, "_fast_forward", spied_fast_forward)
+        monkeypatch.setattr(ServingEngine, "_stand_in_top", spied_stand_in_top)
+        monkeypatch.setattr(PreemptionPolicy, "select_eviction",
+                            spied_select_eviction)
+        monkeypatch.setattr(_PagedAdmission, "_preempt", spied_preempt)
+        monkeypatch.setattr(_PagedAdmission, "try_resume", spied_try_resume)
+
+
+def paged_runs(system, trace, *, until_points=(), traced=False, **kwargs):
+    """``[(fingerprint, run)]`` of one paged configuration, vectorized then
+    scalar; traced runs add every recorded event to the fingerprint."""
+    runs = []
+    for vectorize in (True, False):
+        engine = ServingEngine(system, admission="paged", context_step=512,
+                               vectorize=vectorize, **kwargs)
+        recorder = TraceRecorder() if traced else None
+        state = engine.begin(trace, telemetry=recorder)
+        for until_s in until_points:
+            engine.advance(state, until_s=until_s)
+        run = engine.advance(state)
+        fingerprint = prefix_fingerprint(run)
+        if traced:
+            recorder.finalize()
+            # Emit order within each scope, not just the time-sorted view.
+            fingerprint += (tuple((scope.name, tuple(scope.events))
+                                  for scope in recorder.scopes),)
+        runs.append((fingerprint, run))
+    return runs
+
+
+def prefix_fingerprint(run):
+    return fingerprint_of(run) + (
+        tuple((r.prefix_hits, r.cow_blocks) for r in run.requests),)
+
+
+class TestFusedEvictionChains:
+    """Eviction iterations that a fast-forward runs inside its windows
+    reproduce the loop's own iterations exactly, in each case a fused chain
+    could get wrong; every test also checks that its case really occurred."""
+
+    def check(self, system, trace, **kwargs):
+        (fp_vec, vec), (fp_scalar, scalar) = paged_runs(system, trace,
+                                                        **kwargs)
+        assert fp_vec == fp_scalar
+        assert vec.window_evictions > 0  # the chains really fused
+        return vec, scalar
+
+    def test_chain_victims_and_cow_tails(self, system, small_model,
+                                         monkeypatch):
+        spy = EvictionSpy(monkeypatch)
+        vec, _ = self.check(system, prefix_pressure_trace(),
+                            memory_capacity_bytes=kv_capacity(small_model,
+                                                              1000))
+        assert spy.seen["chain victim in window"]
+        assert sum(r.cow_blocks for r in vec.requests) > 0
+
+    def test_idle_chain_at_resume(self, system, small_model, monkeypatch):
+        spy = EvictionSpy(monkeypatch)
+        self.check(system, prefix_pressure_trace(seed=2),
+                   memory_capacity_bytes=kv_capacity(small_model, 1500))
+        assert spy.seen["idle chain at resume"]
+
+    def test_recompute_victim_evicted_again_mid_rebuild(self, system,
+                                                        small_model,
+                                                        monkeypatch):
+        # Only a co-scheduled decode step grows KV while a rebuild is
+        # underway, so re-eviction needs chunked-prefill mode.
+        spy = EvictionSpy(monkeypatch)
+        trace = with_arrivals(sharegpt_like_queries(60, seed=1),
+                              poisson_arrivals(60, 400.0, seed=1))
+        self.check(system, trace, preemption_restore="recompute",
+                   interleave_prefill=True, prefill_chunk_tokens=64,
+                   memory_capacity_bytes=kv_capacity(small_model, 2000))
+        assert spy.seen["re-evicted mid-rebuild"]
+
+    def test_victim_grown_earlier_in_the_step(self, system, small_model,
+                                              monkeypatch):
+        spy = EvictionSpy(monkeypatch)
+        self.check(system, prefix_pressure_trace(),
+                   memory_capacity_bytes=kv_capacity(small_model, 1500))
+        assert spy.seen["grown victim in window"]
+
+    def test_arrival_crossing_mid_chain(self, system, small_model,
+                                        monkeypatch):
+        spy = EvictionSpy(monkeypatch)
+        self.check(system, prefix_pressure_trace(),
+                   memory_capacity_bytes=kv_capacity(small_model, 1500))
+        assert spy.seen["arrival crossed mid-chain"]
+
+    def test_segment_bound_cuts_a_chain(self, system, small_model,
+                                        monkeypatch):
+        kwargs = dict(memory_capacity_bytes=kv_capacity(small_model, 1500))
+        makespan_s = paged_runs(system, prefix_pressure_trace(),
+                                **kwargs)[0][1].makespan_s
+        spy = EvictionSpy(monkeypatch)
+        self.check(system, prefix_pressure_trace(),
+                   until_points=tuple(np.linspace(0.0, makespan_s, 200)[1:]),
+                   **kwargs)
+        assert spy.seen["chain cut by until_s"]
+
+    def test_traced_runs_match_untraced(self, system, small_model):
+        kwargs = dict(memory_capacity_bytes=kv_capacity(small_model, 1500))
+        traced, _ = self.check(system, prefix_pressure_trace(), traced=True,
+                               **kwargs)
+        (untraced, _), _ = paged_runs(system, prefix_pressure_trace(),
+                                      **kwargs)
+        assert untraced == prefix_fingerprint(traced)
+
+    def test_work_counters(self, system, small_model):
+        """The counters are deterministic; the scalar oracle never
+        fast-forwards, so it tops the loop once per iteration."""
+        (_, vec), (_, scalar) = paged_runs(
+            system, prefix_pressure_trace(),
+            memory_capacity_bytes=kv_capacity(small_model, 1500))
+        assert (vec.loop_tops, vec.ff_windows, vec.window_evictions) == (
+            183, 142, 81)
+        assert (scalar.loop_tops, scalar.ff_windows,
+                scalar.window_evictions) == (2889, 0, 0)
+        assert len(vec.preemption_log) == len(scalar.preemption_log) == 90
+
+
+@st.composite
+def pressure_configs(draw):
+    """A paged trace and engine knobs on KV memory for 1-1.5 worst-case
+    contexts (the small model's 2,048), arriving fast enough to evict."""
+    count = draw(st.integers(20, 60))
+    seed = draw(st.integers(0, 999))
+    if draw(st.booleans()):
+        queries = prefix_reuse_queries(
+            count, num_tenants=draw(st.integers(1, 4)),
+            reuse_fraction=draw(st.sampled_from([0.3, 0.8, 1.0])),
+            mean_prefix_tokens=draw(st.sampled_from([16.0, 100.0, 300.0])),
+            mean_decode_tokens=draw(st.sampled_from([50.0, 200.0])),
+            sigma=0.4, seed=seed, max_context=2048)
+    else:
+        queries = sharegpt_like_queries(count, seed=seed)
+    rate = draw(st.sampled_from([100.0, 1e4]))
+    trace = with_arrivals(queries, poisson_arrivals(count, rate, seed=seed))
+    kv_tokens = draw(st.sampled_from([2100, 2500, 3000]))
+    kwargs = dict(
+        preemption_policy=draw(st.sampled_from(
+            ["lru", "priority", "sla_deadline"])),
+        preemption_restore=draw(st.sampled_from(["swap", "recompute"])),
+        interleave_prefill=draw(st.booleans()),
+        prefill_chunk_tokens=draw(st.sampled_from([64, 512])),
+        kv_block_tokens=draw(st.sampled_from([1, 8, 16, 32])),
+        prefix_sharing=draw(st.booleans()),
+        max_batch_size=draw(st.sampled_from([None, 4, 16])))
+    return trace, kv_tokens, kwargs
+
+
+class TestFusedChainsRandomized:
+    @settings(settings.get_profile("ci"), max_examples=40)
+    @given(config=pressure_configs())
+    def test_random_pressure_matches_scalar(self, system, small_model,
+                                            config):
+        trace, kv_tokens, kwargs = config
+        try:
+            (fp_vec, _), (fp_scalar, _) = paged_runs(
+                system, trace,
+                memory_capacity_bytes=kv_capacity(small_model, kv_tokens),
+                **kwargs)
+        except RuntimeError as error:  # the engines' "this is a bug" paths
+            pytest.fail(f"engine invariant broke: {error}")
+        assert fp_vec == fp_scalar
+
