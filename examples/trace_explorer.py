@@ -88,6 +88,14 @@ def build_cluster() -> ClusterEngine:
                          admission="paged", memory_capacity_bytes=tight)
 
 
+def record_run():
+    """Run the scenario under a fresh recorder; returns (recorder, result)."""
+    recorder = TraceRecorder()
+    result = build_cluster().run(rebalance="epoch", epoch_s=0.05,
+                                 telemetry=recorder)
+    return recorder, result
+
+
 def banner(title: str) -> str:
     return f"\n=== {title} " + "=" * max(0, 66 - len(title))
 
@@ -99,9 +107,7 @@ def main() -> None:
                              "PREFIX.jsonl (default: trace_explorer)")
     cli = parser.parse_args()
 
-    recorder = TraceRecorder()
-    cluster = build_cluster()
-    result = cluster.run(rebalance="epoch", epoch_s=0.05, telemetry=recorder)
+    recorder, result = record_run()
     recorder.finalize()
     events = list(iter_scope_events(recorder))
 

@@ -44,6 +44,7 @@ reproduces the pre-live-migration closed loop bit-exactly.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -140,8 +141,9 @@ class ControlConfig:
     max_epochs: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
+        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
+            raise ValueError("epoch_s must be a finite positive number, "
+                             f"got {self.epoch_s!r}")
         if self.rebalance not in REBALANCE_MODES:
             raise ValueError(
                 f"unknown rebalance mode {self.rebalance!r}; "

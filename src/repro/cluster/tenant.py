@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+from repro.core.results import check_sla_latency_s
 from repro.models.config import ModelConfig
 from repro.workloads.queries import Query
 
@@ -70,8 +71,7 @@ class TenantSpec:
         object.__setattr__(self, "trace", tuple(self.trace))
         if not self.trace:
             raise ValueError(f"tenant {self.name!r} needs a non-empty trace")
-        if self.sla_latency_s is not None and self.sla_latency_s <= 0:
-            raise ValueError("the SLA latency bound must be positive")
+        check_sla_latency_s(self.sla_latency_s)
         if self.priority <= 0:
             raise ValueError("priority must be positive")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -16,8 +17,19 @@ __all__ = [
     "LatencyStats",
     "ServingResult",
     "ClusterResult",
+    "check_sla_latency_s",
     "percentile",
 ]
+
+
+def check_sla_latency_s(sla_latency_s: Optional[float]) -> None:
+    """Reject an SLA latency bound that is not a finite positive number
+    (``None`` means no bound).  A NaN bound would otherwise pass a
+    ``<= 0`` check and count no request as within the SLA."""
+    if sla_latency_s is not None and not (math.isfinite(sla_latency_s)
+                                          and sla_latency_s > 0):
+        raise ValueError("sla_latency_s, the SLA latency bound, must be a "
+                         f"finite positive number, got {sla_latency_s!r}")
 
 
 def percentile(samples: Sequence[float], q: float) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.results import check_sla_latency_s
 from repro.cxl.link import CxlLinkParameters
 
 __all__ = [
@@ -96,8 +97,7 @@ class PreemptionPolicy:
             raise ValueError(
                 f"unknown restore mode {restore!r}; choose from {RESTORE_MODES}"
             )
-        if sla_latency_s is not None and sla_latency_s <= 0:
-            raise ValueError("the SLA latency bound must be positive")
+        check_sla_latency_s(sla_latency_s)
         self.policy = policy
         self.restore = restore
         self.sla_latency_s = sla_latency_s

@@ -73,6 +73,7 @@ Overload the same deployment and let paged admission absorb it::
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat, takewhile
@@ -81,7 +82,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.iteration import IterationCostModel
-from repro.core.results import ServingResult
+from repro.core.results import ServingResult, check_sla_latency_s
 from repro.core.system import CentSystem
 from repro.kvstore.allocator import KvAllocator
 from repro.kvstore.block_pool import BlockPool
@@ -933,8 +934,7 @@ class ServingEngine:
         telemetry: Optional[TraceRecorder] = None,
     ) -> ServingResult:
         """Serve ``trace`` to completion and return measured statistics."""
-        if sla_latency_s is not None and sla_latency_s <= 0:
-            raise ValueError("the SLA latency bound must be positive")
+        check_sla_latency_s(sla_latency_s)
         run = self.simulate(trace, sla_latency_s=sla_latency_s,
                             telemetry=telemetry)
         return aggregate_serving_result(
@@ -1129,6 +1129,8 @@ class ServingEngine:
         later ``advance`` continue seamlessly.  ``until_s=None`` drains the
         state completely and reproduces the unsegmented engine bit-exactly.
         """
+        if until_s is not None and not math.isfinite(until_s):
+            raise ValueError(f"until_s must be finite or None, got {until_s!r}")
         build = self._build_vectorized if self.vectorize else self._build_scalar
         while state.pending or state.waiting or state.preempted or state.running:
             if until_s is not None and state.clock >= until_s:

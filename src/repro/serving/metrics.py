@@ -96,31 +96,28 @@ def merge_queue_depth_timelines(
     replica's most recent value — simply interleaving the samples would
     report one replica's backlog where the caller expects the pool's.  A
     single input comes back unchanged, so the single-replica tenant keeps
-    engine parity.
+    engine parity.  Samples apply in ``(time, replica, queued, running)``
+    order, each moving the integer sums by its change from its replica's
+    previous sample.
     """
     timelines = [list(t) for t in timelines if t]
-    if not timelines:
-        return []
-    if len(timelines) == 1:
-        return timelines[0]
-    events = sorted(
-        (sample[0], index, sample)
-        for index, timeline in enumerate(timelines)
-        for sample in timeline
-    )
-    latest: dict = {}
-    merged = []
-    i = 0
-    while i < len(events):
-        now = events[i][0]
-        while i < len(events) and events[i][0] == now:
-            _, index, (_, queued, running) = events[i]
-            latest[index] = (queued, running)
-            i += 1
-        merged.append((now,
-                       sum(q for q, _ in latest.values()),
-                       sum(r for _, r in latest.values())))
-    return merged
+    if len(timelines) <= 1:
+        return timelines[0] if timelines else []
+    samples = np.array([sample for timeline in timelines
+                        for sample in timeline], dtype=np.float64)
+    replica = np.repeat(np.arange(len(timelines)), [len(t) for t in timelines])
+    order = np.lexsort((samples[:, 2], samples[:, 1], replica, samples[:, 0]))
+    times, replica = samples[order, 0], replica[order]
+    counts = samples[order, 1:].astype(np.int64)
+    # Stable: each replica's samples stay in the order they apply.
+    by_replica = np.argsort(replica, kind="stable")
+    follows = replica[by_replica[1:]] == replica[by_replica[:-1]]
+    steps = counts.copy()
+    steps[by_replica[1:][follows]] -= counts[by_replica[:-1][follows]]
+    totals = np.cumsum(steps, axis=0)
+    first = np.flatnonzero(np.append(True, times[1:] != times[:-1]))
+    last = np.append(first[1:], len(times)) - 1
+    return list(zip(times[first].tolist(), *totals[last].T.tolist()))
 
 
 def _completed_samples(

@@ -24,11 +24,16 @@ Design rules (see CONTRIBUTING "Instrumenting a subsystem"):
   *is* the scope's ``queue_signal`` list (bound once at
   ``ServingEngine.begin``), and its ``preemption_log`` is a plain list
   beside the ``serving.preempt`` events; nothing is derived or copied.
+* **Events are append-only and args read-only once recorded.**  The
+  first export encodes each event's args into the scope's ``args_json``
+  and the next export reuses that text.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["ScopedRecorder", "TraceEvent", "TraceRecorder"]
 
@@ -56,16 +61,6 @@ class TraceEvent:
     @property
     def end_s(self) -> float:
         return self.ts_s if self.dur_s is None else self.ts_s + self.dur_s
-
-    def to_dict(self) -> Dict[str, Any]:
-        record: Dict[str, Any] = {"name": self.name, "ts_s": self.ts_s}
-        if self.dur_s is not None:
-            record["dur_s"] = self.dur_s
-        if self.request_id is not None:
-            record["request_id"] = self.request_id
-        if self.args:
-            record["args"] = self.args
-        return record
 
     def _key(self) -> Tuple:
         args = self.args or {}
@@ -98,7 +93,7 @@ class ScopedRecorder:
     """
 
     __slots__ = ("session", "name", "pid", "events", "queue_signal",
-                 "now_s", "_open_window")
+                 "now_s", "args_json", "_open_window")
 
     def __init__(self, session: "TraceRecorder", name: str, pid: int) -> None:
         self.session = session
@@ -109,6 +104,9 @@ class ScopedRecorder:
         #: ``queue_depth_timeline`` is this very list.
         self.queue_signal: List[Tuple[float, int, int]] = []
         self.now_s = 0.0
+        #: Encoded args of ``events[:len(args_json)]`` (``None``: no args),
+        #: left by one export for the next (``repro.telemetry.export``).
+        self.args_json: List[Optional[str]] = []
         # Open coalescing window: [kind, key, start_s, end_s, steps, tokens].
         self._open_window: Optional[list] = None
 
@@ -217,9 +215,15 @@ class TraceRecorder:
     def iter_events(self) -> Iterator[Tuple[ScopedRecorder, TraceEvent]]:
         """All events, time-ordered (ties broken by pid, then emit order)."""
         self.finalize()
-        flat = [(event.ts_s, scope.pid, seq, scope, event)
-                for scope in self.scopes
-                for seq, event in enumerate(scope.events)]
-        flat.sort(key=lambda item: item[:3])
-        for _, _, _, scope, event in flat:
-            yield scope, event
+        pairs = [(scope, event) for scope in self.scopes
+                 for event in scope.events]
+        order = time_order([event.ts_s for _, event in pairs],
+                           [scope.pid for scope, _ in pairs])
+        return map(pairs.__getitem__, order)
+
+
+def time_order(ts: Sequence[Any], pids: Sequence[int]) -> List[int]:
+    """Row indices ordered by ``(ts, pid, row index)``: the stable sort of
+    the rows by ``(ts, pid)``, as one ``np.lexsort`` over key columns."""
+    return np.lexsort((np.arange(len(ts)), np.asarray(pids, dtype=np.int64),
+                       np.asarray(ts, dtype=np.float64))).tolist()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro.core.results import ServingResult
+from repro.core.results import ServingResult, check_sla_latency_s
 
 __all__ = ["SlaReport", "evaluate_sla", "evaluate_sla_from_serving"]
 
@@ -49,8 +49,7 @@ def evaluate_sla(
     sla_latency_s: float,
 ) -> SlaReport:
     """Split (query latency [s], throughput) points by SLA compliance."""
-    if sla_latency_s <= 0:
-        raise ValueError("the SLA latency bound must be positive")
+    check_sla_latency_s(sla_latency_s)
     compliant = [(lat, thr) for lat, thr in operating_points if lat <= sla_latency_s]
     violating = [(lat, thr) for lat, thr in operating_points if lat > sla_latency_s]
     return SlaReport(

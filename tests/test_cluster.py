@@ -57,6 +57,13 @@ class TestTenantSpec:
             TenantSpec("t", model=small_model, trace=fixed_queries(1),
                        sla_latency_s=-1.0)
 
+    @pytest.mark.parametrize("sla_latency_s", [float("nan"), float("inf")])
+    def test_non_finite_sla_rejected(self, small_model, sla_latency_s):
+        """A NaN SLA used to be accepted: no latency is within it."""
+        with pytest.raises(ValueError, match="sla_latency_s"):
+            TenantSpec("t", model=small_model, trace=fixed_queries(1),
+                       sla_latency_s=sla_latency_s)
+
     def test_sla_class_defaults_and_override(self, small_model):
         base = TenantSpec("t", model=small_model, trace=fixed_queries(1),
                           sla_class=SlaClass.INTERACTIVE)

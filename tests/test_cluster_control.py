@@ -70,6 +70,18 @@ class TestControlConfig:
         with pytest.raises(ValueError):
             ControlConfig(**kwargs)
 
+    @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf")])
+    def test_non_finite_epoch_s_rejected(self, small_model, epoch_s):
+        """A NaN or infinite epoch used to pass the ``<= 0`` check and fail
+        inside the loop with an ``int()`` conversion error."""
+        with pytest.raises(ValueError, match="epoch_s"):
+            ControlConfig(epoch_s=epoch_s)
+        tenant = TenantSpec("t", model=small_model, trace=timed_trace(3, 5.0))
+        engine = ClusterEngine(CentConfig(num_devices=2, context_samples=2),
+                               [tenant], context_step=512)
+        with pytest.raises(ValueError, match="epoch_s"):
+            engine.run(rebalance="epoch", epoch_s=epoch_s)
+
     def test_unknown_rebalance_mode_on_run(self, small_model):
         tenant = TenantSpec("t", model=small_model, trace=timed_trace(3, 5.0))
         engine = ClusterEngine(CentConfig(num_devices=2, context_samples=2),
@@ -239,6 +251,17 @@ class TestSegmentedEngine:
         engine.advance(state, until_s=0.0)
         before = engine.snapshot(state)
         assert before.makespan_s == 0.0
+        engine.advance(state)
+        assert state.drained
+
+    @pytest.mark.parametrize("until_s", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_advance_rejects_non_finite_bound(self, system, until_s):
+        """A NaN bound used to reach the fast-forward's ``int()``."""
+        engine = ServingEngine(system, context_step=512)
+        state = engine.begin(timed_trace(4, 5.0))
+        with pytest.raises(ValueError, match="until_s"):
+            engine.advance(state, until_s=until_s)
         engine.advance(state)
         assert state.drained
 

@@ -14,6 +14,7 @@ from repro.models.memory import ModelMemoryProfile
 from repro.serving import RequestState, ServingEngine, ServingRequest
 from repro.workloads import (
     Query,
+    evaluate_sla,
     evaluate_sla_from_serving,
     fixed_queries,
     poisson_arrivals,
@@ -336,6 +337,16 @@ class TestRequestLifecycle:
 
 
 class TestSlaFromServing:
+    @pytest.mark.parametrize("sla_latency_s", [float("nan"), float("inf"),
+                                               0.0])
+    def test_run_rejects_non_finite_sla(self, system, pp_plan, sla_latency_s):
+        """``run(sla_latency_s=nan)`` used to return goodput 0.0 silently."""
+        engine = ServingEngine(system, pp_plan)
+        with pytest.raises(ValueError, match="sla_latency_s"):
+            engine.run(fixed_queries(2), sla_latency_s=sla_latency_s)
+        with pytest.raises(ValueError, match="sla_latency_s"):
+            evaluate_sla([(1.0, 2.0)], sla_latency_s)
+
     def test_measured_operating_points(self, system, pp_plan):
         engine = ServingEngine(system, pp_plan)
         queries = sharegpt_like_queries(30, seed=9)
