@@ -91,7 +91,7 @@ def assert_same_exports(recorder, root):
             assert mine.read() == oracle.read(), name
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(recorders())
 def test_exports_match_reference_bytes(recorder):
     with tempfile.TemporaryDirectory() as root:
@@ -113,7 +113,7 @@ def test_exports_after_more_events(tmp_path):
     assert_same_exports(recorder, tmp_path)
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(recorders())
 def test_iter_scope_events_matches_reference(recorder):
     # repr tells a tuple from a list, an int from a float or numpy scalar,
@@ -128,7 +128,7 @@ TIMELINES = st.lists(st.lists(st.tuples(
     st.integers(min_value=0, max_value=3)), max_size=6), max_size=4)
 
 
-@settings(max_examples=300)
+@settings(max_examples=200)
 @given(TIMELINES)
 def test_merge_matches_reference(timelines):
     assert (repr(merge_queue_depth_timelines(timelines))
