@@ -48,9 +48,9 @@ def _decode_heavy_trace(count: int, *, rate_qps: float, seed: int = 7):
         queries, poisson_arrivals(count, rate_qps=rate_qps, seed=seed + 4))
 
 
-def _timed_simulate(engine: ServingEngine, trace, sla_latency_s: float):
+def _timed_simulate(engine: ServingEngine, trace):
     start = time.perf_counter()
-    engine.simulate(trace, sla_latency_s=sla_latency_s)
+    engine.simulate(trace)
     return time.perf_counter() - start
 
 
@@ -61,18 +61,17 @@ def test_single_replica_sim_speed(benchmark, once, capsys):
     engine = ServingEngine(system, admission="paged")
     # Warm the grid/table caches so the measurement is simulator speed,
     # not first-touch block-simulation cost (shared across all runs).
-    engine.simulate(trace[:200], sla_latency_s=600.0)
-    elapsed = once(benchmark, _timed_simulate, engine, trace,
-                   sla_latency_s=600.0)
+    engine.simulate(trace[:200])
+    elapsed = once(benchmark, _timed_simulate, engine, trace)
     requests_per_s = SINGLE_REPLICA_REQUESTS / elapsed
 
     # Scalar reference on a prefix (the full scalar trace takes minutes):
     # same engine semantics with every vectorized path switched off.
     prefix = trace[:500]
     scalar = ServingEngine(system, admission="paged", vectorize=False)
-    scalar.simulate(prefix, sla_latency_s=600.0)
-    scalar_s = _timed_simulate(scalar, prefix, sla_latency_s=600.0)
-    vector_s = _timed_simulate(engine, prefix, sla_latency_s=600.0)
+    scalar.simulate(prefix)
+    scalar_s = _timed_simulate(scalar, prefix)
+    vector_s = _timed_simulate(engine, prefix)
     speedup = scalar_s / vector_s if vector_s > 0 else float("inf")
 
     benchmark.extra_info["sim_requests_per_s[single_replica]"] = requests_per_s

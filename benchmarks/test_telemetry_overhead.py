@@ -52,7 +52,7 @@ def _decode_heavy_trace(count: int, *, rate_qps: float, seed: int = 7):
 
 def _timed_simulate(engine: ServingEngine, trace, *, telemetry=None):
     start = time.perf_counter()
-    run = engine.simulate(trace, sla_latency_s=600.0, telemetry=telemetry)
+    run = engine.simulate(trace, telemetry=telemetry)
     return time.perf_counter() - start, run
 
 
@@ -63,7 +63,7 @@ def test_telemetry_overhead(benchmark, once, capsys):
     engine = ServingEngine(system, admission="paged")
     # Warm the grid/table caches so both measurements see the same steady
     # state (first-touch block-simulation cost is shared across runs).
-    engine.simulate(trace[:200], sla_latency_s=600.0)
+    engine.simulate(trace[:200])
 
     def measure():
         off_s, _ = _timed_simulate(engine, trace)
@@ -99,7 +99,7 @@ def test_telemetry_overhead(benchmark, once, capsys):
               f"{attribution_s * 1e3:.1f}ms")
 
     # Both runs simulate the same outcome — recording never changes it.
-    untraced = engine.simulate(trace, sla_latency_s=600.0)
+    untraced = engine.simulate(trace)
     assert traced.makespan_s == untraced.makespan_s
     assert len(traced.requests) == len(untraced.requests)
 

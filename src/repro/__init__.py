@@ -19,7 +19,7 @@ Inference".  It provides:
   KV-capacity-aware admission and vLLM-style continuous batching
   (``repro.serving``, ``repro.workloads``),
 * a paged KV-cache manager with block-granular allocation and
-  preemption-aware serving — LRU/priority/SLA-deadline victim selection
+  preemption-aware serving — least-recently-used victim selection
   with CXL-priced swap or recompute restore (``repro.kvstore``, enabled
   through ``ServingEngine(..., admission="paged")``),
 * multi-tenant cluster serving that shards one device pool across models

@@ -82,6 +82,18 @@ REBALANCE_MODES = ("off", "epoch")
 #: What happens to a dismantled replica's in-flight requests.
 MIGRATION_MODES = ("restart", "live")
 
+#: Epochs that must pass after a rebalance before the next proposal is even
+#: considered (cooldown against thrash).
+MIN_EPOCHS_BETWEEN = 1
+
+#: Horizon (in epochs) the projected gain of a proposal is priced over:
+#: observed demand is assumed to persist roughly this long.
+LOOKAHEAD_EPOCHS = 2
+
+#: EWMA weight of the newest epoch's arrival rate in the observe-only
+#: ``cluster.predicted_rate_qps`` forecast.
+FEEDBACK_ALPHA = 0.5
+
 
 def weight_reload_time_s(spec: ReplicaSpec, link) -> float:
     """Migration stall of (re)building one replica: reloading its weights.
@@ -115,29 +127,23 @@ class ControlConfig:
         scratch (the pre-live behaviour, kept bit-exact for regression
         comparisons).
     hysteresis:
-        A re-placement is applied only when its projected token gain
-        exceeds ``(1 + hysteresis)`` times the migration cost.
-    min_epochs_between:
-        Epochs that must pass after a rebalance before the next proposal is
-        even considered (cooldown against thrash).
-    lookahead_epochs:
-        Horizon (in epochs) the projected gain of a proposal is priced
-        over: observed demand is assumed to persist roughly this long.
-    feedback_alpha:
-        EWMA weight of the newest epoch's arrival rate in the observe-only
-        ``cluster.predicted_rate_qps`` forecast.
+        A re-placement is applied only when its projected token gain over
+        the :data:`LOOKAHEAD_EPOCHS` horizon exceeds ``(1 + hysteresis)``
+        times the migration cost; a finite non-negative number.
     max_epochs:
         Safety bound; a run still undrained after this many epochs is
-        finished in one final unbounded segment (no further control).
+        finished in one final unbounded segment (no further control), and
+        ``ClusterResult.control_stopped_epoch`` records the epoch at which
+        control stopped (``None`` when the run drained under control).
+
+    The rebalance cooldown (:data:`MIN_EPOCHS_BETWEEN`) and the demand
+    forecast's EWMA weight (:data:`FEEDBACK_ALPHA`) are module constants.
     """
 
     epoch_s: float = 20.0
     rebalance: str = "epoch"
     migration: str = "live"
     hysteresis: float = 0.25
-    min_epochs_between: int = 1
-    lookahead_epochs: int = 2
-    feedback_alpha: float = 0.5
     max_epochs: int = 10_000
 
     def __post_init__(self) -> None:
@@ -154,14 +160,9 @@ class ControlConfig:
                 f"unknown migration mode {self.migration!r}; "
                 f"choose from {MIGRATION_MODES}"
             )
-        if self.hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
-        if self.min_epochs_between < 0:
-            raise ValueError("min_epochs_between must be non-negative")
-        if self.lookahead_epochs <= 0:
-            raise ValueError("lookahead_epochs must be positive")
-        if not 0 < self.feedback_alpha <= 1:
-            raise ValueError("feedback_alpha must be in (0, 1]")
+        if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
+            raise ValueError("hysteresis must be a finite non-negative "
+                             f"number, got {self.hysteresis!r}")
         if self.max_epochs <= 0:
             raise ValueError("max_epochs must be positive")
 
@@ -256,7 +257,7 @@ class RebalancePolicy:
             return None
 
         stall_s = max(weight_reload_time_s(spec, self.link) for spec in rebuilt)
-        horizon_s = self.config.lookahead_epochs * self.config.epoch_s
+        horizon_s = LOOKAHEAD_EPOCHS * self.config.epoch_s
         gain_tokens = gain_rate * horizon_s
         # Conservative: while the rebuilt replicas reload, price the whole
         # proposal's delivery as foregone (carried replicas keep serving, so
@@ -359,9 +360,8 @@ class ClusterControlLoop:
         engine = self.cluster._engine_for(tenant.name, spec.num_devices,
                                           spec.model)
         scope = self._replica_scope(spec)
-        state = engine.begin(
-            [], sla_latency_s=tenant.latency_slo_s,
-            planning_trace=list(tenant.trace), telemetry=scope)
+        state = engine.begin([], planning_trace=list(tenant.trace),
+                             telemetry=scope)
         state.clock = start_s + stall_s
         if scope is not None:
             scope.now_s = state.clock
@@ -426,6 +426,9 @@ class ClusterControlLoop:
         #: ``cluster.predicted_rate_qps`` gauge.
         predicted_qps = 0.0
         last_rebalance_epoch: Optional[int] = None
+        #: Epoch at which the closed loop hit ``max_epochs`` and drained the
+        #: rest open loop; ``None`` while control holds to the end.
+        stopped_epoch: Optional[int] = None
         num_rebalances = 0
         migration_stall_s = 0.0
         migration_stats = _MigrationStats()
@@ -443,6 +446,8 @@ class ClusterControlLoop:
                 # loop is exactly this window at epoch 0; the closed loop
                 # reaches it at its safety bound, so no offered request
                 # silently vanishes from the accounting.
+                if config is not None:
+                    stopped_epoch = epoch
                 tail = items[position:]
                 position = len(items)
                 plan = cluster.scheduler.route_window(
@@ -518,7 +523,7 @@ class ClusterControlLoop:
             if (config.rebalance == "epoch" and work_left
                     and (last_rebalance_epoch is None
                          or epoch - last_rebalance_epoch
-                         > config.min_epochs_between)):
+                         > MIN_EPOCHS_BETWEEN)):
                 demand = {
                     name: (backlog_tokens[name] + arrived_tokens[name])
                     / config.epoch_s
@@ -555,8 +560,8 @@ class ClusterControlLoop:
                         queued=tail[1], running=tail[2],
                         outstanding_tokens=runtime.outstanding_tokens())
             predicted_qps = (
-                config.feedback_alpha * (len(window) / config.epoch_s)
-                + (1.0 - config.feedback_alpha) * predicted_qps)
+                FEEDBACK_ALPHA * (len(window) / config.epoch_s)
+                + (1.0 - FEEDBACK_ALPHA) * predicted_qps)
             if telemetry is not None:
                 self._record_epoch_metrics(
                     telemetry, live, archived, end_s,
@@ -568,7 +573,7 @@ class ClusterControlLoop:
         return self._aggregate(placement, runtimes(), final_attempt,
                                num_rebalances,
                                migration_stall_s, rebalance_log, epoch_rows,
-                               migration_stats)
+                               migration_stats, stopped_epoch)
 
     # ------------------------------------------------------------------ pieces
 
@@ -754,6 +759,7 @@ class ClusterControlLoop:
         rebalance_log: List[Tuple[float, float]],
         epoch_rows: List[Tuple[float, float, float]],
         migration_stats: _MigrationStats,
+        stopped_epoch: Optional[int],
     ) -> ClusterResult:
         cluster = self.cluster
         tenants = cluster.tenants
@@ -826,6 +832,7 @@ class ClusterControlLoop:
             migrated_kv_bytes=migration_stats.kv_bytes,
             kv_migration_time_s=migration_stats.kv_time_s,
             restored_progress_tokens=migration_stats.restored_tokens,
+            control_stopped_epoch=stopped_epoch,
             metrics_timeline=(self.telemetry.metrics.timeline_tuple()
                               if self.telemetry is not None else ()),
             alert_log=(self.slo_monitor.alert_log

@@ -512,6 +512,11 @@ class ClusterResult:
     #: Prefill + decode progress tokens live migration preserved that a
     #: restart-on-migrate would have recomputed from scratch.
     restored_progress_tokens: int = 0
+    #: Epoch at which a closed-loop run hit ``ControlConfig.max_epochs``
+    #: and drained the rest open loop (no further measurement or
+    #: re-placement); ``None`` when the run drained under control, and for
+    #: the open loop.
+    control_stopped_epoch: Optional[int] = None
     #: One :class:`~repro.telemetry.MetricsSnapshot` per control epoch when
     #: the run was traced (``telemetry=`` on :meth:`ClusterEngine.run`);
     #: empty for untraced and open-loop runs.

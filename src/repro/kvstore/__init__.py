@@ -19,11 +19,11 @@ engine's ``admission="paged"`` mode:
   stay cached — reclaimed coldest-first under pool pressure or by the
   joint (request, chain) eviction ranking
   (:meth:`PreemptionPolicy.select_eviction`);
-* :class:`PreemptionPolicy` — deterministic victim selection
-  (``lru`` / ``priority`` / ``sla_deadline``) when the pool runs dry, with
-  two restore paths: ``swap`` (KV bytes staged out and back over the CXL
-  links, priced by :func:`kv_swap_time_s`) and ``recompute`` (the victim's
-  context is re-prefilled through the normal
+* :class:`PreemptionPolicy` — deterministic least-recently-used victim
+  selection when the pool runs dry, with two restore paths: ``swap`` (KV
+  bytes staged out and back over the CXL links, priced by
+  :func:`kv_swap_time_s`) and ``recompute`` (the victim's context is
+  re-prefilled through the normal
   :class:`~repro.core.iteration.IterationCostModel` path).  Eviction is
   all-or-nothing, as in vLLM: a victim gives up its whole allocation.
 
@@ -35,7 +35,6 @@ tested without simulating a single transformer block.
 from repro.kvstore.block_pool import BlockPool, PrefixChain
 from repro.kvstore.allocator import KvAllocator
 from repro.kvstore.preemption import (
-    PREEMPTION_POLICIES,
     RESTORE_MODES,
     PreemptionPolicy,
     kv_swap_time_s,
@@ -46,7 +45,6 @@ __all__ = [
     "PrefixChain",
     "KvAllocator",
     "PreemptionPolicy",
-    "PREEMPTION_POLICIES",
     "RESTORE_MODES",
     "kv_swap_time_s",
 ]

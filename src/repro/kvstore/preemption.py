@@ -15,27 +15,21 @@ restore mode decides *what the eviction costs*:
   and competes with genuine prefill work for the chunk budget.
 
 Victim candidates are duck-typed (anything with ``request_id``,
-``arrival_time_s``, ``last_token_time_s``, ``admitted_time_s`` and a
-``query`` carrying ``priority``) so this module stays import-cycle-free of
-``repro.serving``.
+``arrival_time_s``, ``last_token_time_s`` and ``admitted_time_s``) so this
+module stays import-cycle-free of ``repro.serving``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.results import check_sla_latency_s
 from repro.cxl.link import CxlLinkParameters
 
 __all__ = [
-    "PREEMPTION_POLICIES",
     "RESTORE_MODES",
     "PreemptionPolicy",
     "kv_swap_time_s",
 ]
-
-#: Supported victim-selection policies.
-PREEMPTION_POLICIES = ("lru", "priority", "sla_deadline")
 
 #: Supported restore paths for a preempted request's KV cache.
 RESTORE_MODES = ("swap", "recompute")
@@ -64,45 +58,24 @@ def kv_swap_time_s(
 
 
 class PreemptionPolicy:
-    """Deterministic victim selection plus the configured restore path.
+    """Deterministic LRU victim selection plus the configured restore path.
 
-    Policies (ties always break toward the later arrival, then the larger
-    ``request_id``, so a given trace yields one victim sequence):
-
-    * ``lru`` — evict the request that made progress least recently (its
-      last emitted token, else its admission, else its arrival); the
-      stalest request has the most to redo anyway.
-    * ``priority`` — evict the lowest ``Query.priority`` first, LRU within
-      a priority level.
-    * ``sla_deadline`` — evict the request with the most slack to its SLA
-      deadline (``arrival + sla_latency_s``); without an SLA the latest
-      arrival has the most implicit slack.
+    The victim is the request that made progress least recently (its last
+    emitted token, else its admission, else its arrival): the stalest
+    request has the most to redo anyway.  Ties break toward the later
+    arrival, then the larger ``request_id``, so a given trace yields one
+    victim sequence.  Recency is vLLM's only victim order too.
 
     Eviction is all-or-nothing: a victim gives up its whole allocation and
     the restore path brings all of it back.
     """
 
-    def __init__(
-        self,
-        policy: str = "lru",
-        restore: str = "swap",
-        sla_latency_s: Optional[float] = None,
-    ) -> None:
-        if policy not in PREEMPTION_POLICIES:
-            raise ValueError(
-                f"unknown preemption policy {policy!r}; "
-                f"choose from {PREEMPTION_POLICIES}"
-            )
+    def __init__(self, restore: str = "swap") -> None:
         if restore not in RESTORE_MODES:
             raise ValueError(
                 f"unknown restore mode {restore!r}; choose from {RESTORE_MODES}"
             )
-        check_sla_latency_s(sla_latency_s)
-        self.policy = policy
         self.restore = restore
-        self.sla_latency_s = sla_latency_s
-
-    # ------------------------------------------------------------------ keys
 
     @staticmethod
     def _last_use_s(request) -> float:
@@ -111,32 +84,13 @@ class PreemptionPolicy:
                 return stamp
         return request.arrival_time_s
 
-    def _deadline_s(self, request) -> float:
-        if self.sla_latency_s is None:
-            return request.arrival_time_s
-        return request.arrival_time_s + self.sla_latency_s
-
-    # ------------------------------------------------------------------ selection
-
-    def select_victim(self, candidates: Sequence, clock: float = 0.0):
+    def select_victim(self, candidates: Sequence):
         """The request to evict, or ``None`` when no candidate exists."""
-        pool = list(candidates)
-        if not pool:
-            return None
-        if self.policy == "lru":
-            def key(r):
-                return (self._last_use_s(r), -r.arrival_time_s, -r.request_id)
-        elif self.policy == "priority":
-            def key(r):
-                return (getattr(r.query, "priority", 1.0), self._last_use_s(r),
-                        -r.arrival_time_s, -r.request_id)
-        else:  # sla_deadline: most slack to its deadline goes first
-            def key(r):
-                return (clock - self._deadline_s(r), -r.request_id)
-        return min(pool, key=key)
+        return min(candidates, default=None,
+                   key=lambda r: (self._last_use_s(r), -r.arrival_time_s,
+                                  -r.request_id))
 
-    def select_eviction(self, candidates: Sequence, chains: Sequence,
-                        clock: float = 0.0):
+    def select_eviction(self, candidates: Sequence, chains: Sequence):
         """Rank requests and idle shared-prefix chains jointly.
 
         ``chains`` is the pool's unreferenced (refcount-zero)
@@ -149,7 +103,7 @@ class PreemptionPolicy:
         before any request is preempted.  With no chains resident this
         degrades to exactly :meth:`select_victim`.
         """
-        victim = self.select_victim(candidates, clock)
+        victim = self.select_victim(candidates)
         coldest = None
         for chain in chains:
             if coldest is None or (chain.last_use_s, chain.seq) < \

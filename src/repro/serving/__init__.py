@@ -5,7 +5,7 @@ serving system:
 
 * :class:`ServingEngine` — discrete-event loop with request arrivals,
   KV-capacity-aware admission and vLLM-style continuous batching
-  (prefill/decode interleaving); :meth:`ServingEngine.simulate` exposes the
+  (prefill-priority scheduling); :meth:`ServingEngine.simulate` exposes the
   raw per-request outcome (:class:`EngineRun`) that ``repro.cluster``
   re-aggregates per tenant;
 * :class:`ServingRequest` / :class:`RequestState` — per-request lifecycle

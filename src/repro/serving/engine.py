@@ -25,13 +25,10 @@ requests against a :class:`~repro.core.system.CentSystem`:
 * batching is **continuous**: newly admitted requests prefill in bounded
   chunks, every decode step advances all running requests at once, and
   finished requests free their slot immediately — no waiting for the
-  slowest request of a static batch.  By default prefill has strict
-  priority over decoding (vLLM's default scheduler: decode stalls until the
-  prefill backlog drains, which the measured time-between-tokens captures);
-  with ``interleave_prefill=True`` each iteration piggybacks one prefill
-  chunk onto the decode step instead (vLLM's chunked-prefill mode), so a
-  decode stall is bounded by ``prefill_chunk_tokens`` at the price of
-  stretching every co-scheduled decode iteration;
+  slowest request of a static batch.  Prefill has strict priority over
+  decoding (vLLM's default scheduler): an iteration runs either prefill
+  chunks or one decode step, and decode stalls until the prefill backlog
+  drains, which the measured time-between-tokens captures;
 * iteration costs come from :class:`~repro.core.iteration.IterationCostModel`,
   which prices a mixed-context batch step from the same compiled-program
   block simulations as the static batch path (shared performance-model
@@ -65,8 +62,7 @@ Quickstart::
 
 Overload the same deployment and let paged admission absorb it::
 
-    paged = ServingEngine(system, admission="paged", preemption_policy="lru",
-                          preemption_restore="swap")
+    paged = ServingEngine(system, admission="paged", preemption_restore="swap")
     overloaded = paged.run(trace, sla_latency_s=120.0)
     print(overloaded.num_preemptions, overloaded.goodput_tokens_per_s)
 """
@@ -326,11 +322,11 @@ class _Admission:
     def commit_window(self, state: EngineState, ctx0: np.ndarray, steps: int) -> None:
         """Hold the KV of ``steps`` fast-forwarded decode steps."""
 
-    def grow(self, state: EngineState, decode_batch: List[ServingRequest],
-             prefill_work: List[tuple]):
+    def grow(self, state: EngineState,
+             decode_batch: List[ServingRequest]) -> List[ServingRequest]:
         """Grow the decode batch's KV by one token each, evicting on
-        exhaustion; returns the ``(decode_batch, prefill_work)`` that run."""
-        return decode_batch, prefill_work
+        exhaustion; returns the requests that decode."""
+        return decode_batch
 
     def blocked(self, state: EngineState) -> bool:
         """Whether the next loop top's resume/admission phase provably
@@ -350,7 +346,7 @@ class _ReserveAdmission(_Admission):
 
     __slots__ = ("reserved_bytes",)
 
-    def __init__(self, engine, plan, kv_budget, recorder, sla_latency_s) -> None:
+    def __init__(self, engine, plan, kv_budget, recorder) -> None:
         self.reserved_bytes = 0
 
     @staticmethod
@@ -411,7 +407,7 @@ class _PagedAdmission(_Admission):
     __slots__ = ("allocator", "policy", "prefix_sharing", "kv_scale",
                  "link", "pp_stages")
 
-    def __init__(self, engine, plan, kv_budget, recorder, sla_latency_s) -> None:
+    def __init__(self, engine, plan, kv_budget, recorder) -> None:
         self.allocator = KvAllocator(self.make_pool(engine, kv_budget),
                                      recorder=recorder)
         if recorder is not None:
@@ -421,11 +417,7 @@ class _PagedAdmission(_Admission):
             recorder.event("kv.pool", recorder.now_s,
                            total_blocks=self.allocator.pool.num_blocks,
                            block_bytes=self.allocator.pool.block_bytes)
-        self.policy = PreemptionPolicy(
-            engine.preemption_policy,
-            restore=engine.preemption_restore,
-            sla_latency_s=sla_latency_s,
-        )
+        self.policy = PreemptionPolicy(engine.preemption_restore)
         self.prefix_sharing = engine.prefix_sharing
         # The pool is sized to budget / kv_occupancy in block bytes; reported
         # memory applies the same discount, so peak_memory_bytes stays
@@ -569,16 +561,11 @@ class _PagedAdmission(_Admission):
         cols.kv_tokens[rows] = targets
         self.note_peak(state)
 
-    def grow(self, state: EngineState, decode_batch: List[ServingRequest],
-             prefill_work: List[tuple]):
+    def grow(self, state: EngineState,
+             decode_batch: List[ServingRequest]) -> List[ServingRequest]:
         decode_batch = self._grow_or_preempt(state, decode_batch)
         self.note_peak(state)
-        # A growth-triggered eviction may have hit a co-scheduled
-        # prefilling request (chunked-prefill mode): its chunk no longer
-        # runs this iteration.
-        prefill_work = [(r, t) for r, t in prefill_work
-                        if r.state is not RequestState.PREEMPTED]
-        return decode_batch, prefill_work
+        return decode_batch
 
     def release(self, request: ServingRequest, now_s: float, *,
                 resident: bool = True) -> None:
@@ -592,7 +579,11 @@ class _PagedAdmission(_Admission):
     def _grow_or_preempt(self, state: EngineState,
                          candidates: List[ServingRequest]) -> List[ServingRequest]:
         """Grow each decodable request's KV to its context, evicting on
-        pool exhaustion; returns the requests that may decode now."""
+        pool exhaustion; returns the requests that may decode now.
+
+        Decode never shares an iteration with prefill work, so every
+        candidate victim (ready, not the one growing) is decoding too: no
+        victim is ever mid-prefill or mid-rebuild."""
         allocator, policy = self.allocator, self.policy
         running, clock, cols = state.running, state.clock, state.columns
         # A candidate's target changes only when it grows itself, so one
@@ -613,8 +604,7 @@ class _PagedAdmission(_Admission):
                            if r is not request and r.restore_ready_s <= clock]
                 kind, victim = policy.select_eviction(
                     victims,
-                    allocator.evictable_prefixes() if self.prefix_sharing else (),
-                    clock)
+                    allocator.evictable_prefixes() if self.prefix_sharing else ())
                 if kind == "chain":
                     # The coldest blocks pool-wide belong to an idle
                     # (refcount-zero) shared prefix: reclaim it before
@@ -634,20 +624,10 @@ class _PagedAdmission(_Admission):
         return batch
 
     def _preempt(self, state: EngineState, victim: ServingRequest) -> None:
-        """Evict ``victim``: free its blocks, set up its restore path."""
+        """Evict the decoding ``victim``: free its blocks, set up its
+        restore path."""
         clock = state.clock
         restore = self.policy.restore
-        if victim.restore_remaining > 0:
-            # Re-evicted mid-rebuild: the aborted rebuild was stall time,
-            # and the unexecuted tail of the earlier recompute charge never
-            # ran — refund it before re-charging below.
-            aborted_s = clock - victim.restore_started_s
-            victim.stall_s += aborted_s
-            if victim.first_token_time_s is None:
-                victim.prefill_stall_s += aborted_s
-            victim.recompute_tokens -= victim.restore_remaining
-            victim.restore_remaining = 0
-            victim.restore_total = 0
         tokens_with_kv = victim.kv_tokens
         context = victim.context_length
         # A shared-prefix reader keeps its chain pinned across the park
@@ -663,9 +643,8 @@ class _PagedAdmission(_Admission):
         victim.restore_ready_s = 0.0
         victim.restore_via = restore
         if restore == "swap":
-            # Only materialised KV travels; the prompt's still-unwritten
-            # tail of a prefilling victim does not, nor do the chain's
-            # device-resident shared blocks.
+            # Only materialised KV travels; the chain's device-resident
+            # shared blocks do not.
             victim.resume_kv_tokens = tokens_with_kv
             victim.swap_bytes = (max(context - shared_tokens, 0)
                                  * state.bytes_per_token)
@@ -675,15 +654,11 @@ class _PagedAdmission(_Admission):
             victim.swap_time_s += out_s
             victim.swap_done_s = clock + out_s
         else:
-            # Recompute: rebuild the lost KV through the restore path — a
-            # decoding victim's whole context, a half-prefilled victim's
-            # prompt prefix (its tail then continues as prompt work); the
-            # rebuild span counts as stall either way.
-            prompt = victim.query.prompt_tokens
-            prefilling = victim.prefill_remaining > 0
-            lost = prompt - victim.prefill_remaining if prefilling else context
-            victim.resume_kv_tokens = prompt if prefilling else context
-            rebuild = max(lost - shared_tokens, 0)
+            # Recompute: rebuild the whole context (less the pinned shared
+            # prefix) through the restore path; the rebuild span counts as
+            # stall.
+            victim.resume_kv_tokens = context
+            rebuild = max(context - shared_tokens, 0)
             victim.recompute_tokens += rebuild
             victim.restore_remaining = rebuild
             victim.restore_total = rebuild
@@ -724,16 +699,9 @@ class ServingEngine:
         plan's ``queries_in_flight`` (one request per pipeline slot).
     prefill_chunk_tokens:
         Prompt tokens processed per engine iteration across all prefilling
-        requests (FCFS within the chunk).  Under the default
-        prefill-priority scheduling it sets the granularity at which
-        concurrent prefills interleave; with ``interleave_prefill=True`` it
-        also bounds how long one iteration's prefill work can stall the
-        co-scheduled decode step.
-    interleave_prefill:
-        ``False`` (default): prefill-priority scheduling — decode waits for
-        the prefill backlog, and the static special case exactly reproduces
-        the batch path.  ``True``: chunked-prefill scheduling — each
-        iteration runs one prefill chunk *and* one decode step.
+        requests (FCFS within the chunk): the granularity at which
+        concurrent prefills interleave.  Prefill has priority over decode,
+        so the static special case exactly reproduces the batch path.
     context_step:
         Grid granularity (tokens) of the iteration cost model's block-cost
         interpolation.
@@ -747,12 +715,10 @@ class ServingEngine:
         exhaustion (see ``repro.kvstore``).
     kv_block_tokens:
         Tokens per KV block in paged mode (vLLM's ``block_size``).
-    preemption_policy:
-        Victim selection in paged mode: ``"lru"``, ``"priority"`` or
-        ``"sla_deadline"``.
     preemption_restore:
-        How a victim's KV comes back: ``"swap"`` (CXL-priced staging to
-        host memory and back) or ``"recompute"`` (drop and re-prefill).
+        How a paged-mode victim (the least recently used request) gets its
+        KV back: ``"swap"`` (CXL-priced staging to host memory and back) or
+        ``"recompute"`` (drop and re-prefill).
     prefix_sharing:
         Shared-prefix KV reuse in paged mode (``True`` by default).  A
         query tagged with ``prefix_id``/``prefix_tokens`` whose prefix
@@ -788,12 +754,10 @@ class ServingEngine:
         *,
         max_batch_size: Optional[int] = None,
         prefill_chunk_tokens: int = 512,
-        interleave_prefill: bool = False,
         context_step: int = 256,
         memory_capacity_bytes: Optional[int] = None,
         admission: str = "reserve",
         kv_block_tokens: int = 16,
-        preemption_policy: str = "lru",
         preemption_restore: str = "swap",
         prefix_sharing: bool = True,
         vectorize: bool = True,
@@ -810,15 +774,14 @@ class ServingEngine:
             )
         if kv_block_tokens <= 0:
             raise ValueError("kv_block_tokens must be positive")
-        # Fail fast on bad policy/restore knobs with the policy's own
-        # validation (one definition of the valid sets and messages).
-        PreemptionPolicy(preemption_policy, restore=preemption_restore)
+        # Fail fast on a bad restore mode with the policy's own validation
+        # (one definition of the valid set and message).
+        PreemptionPolicy(preemption_restore)
         self.system = system
         self.model = system.model
         self.plan = plan
         self.max_batch_size = max_batch_size
         self.prefill_chunk_tokens = prefill_chunk_tokens
-        self.interleave_prefill = interleave_prefill
         self.context_step = context_step
         self.memory_capacity_bytes = (
             memory_capacity_bytes if memory_capacity_bytes is not None
@@ -828,7 +791,6 @@ class ServingEngine:
             raise ValueError("memory capacity must be positive")
         self.admission = admission
         self.kv_block_tokens = kv_block_tokens
-        self.preemption_policy = preemption_policy
         self.preemption_restore = preemption_restore
         self.prefix_sharing = prefix_sharing
         self.vectorize = vectorize
@@ -935,8 +897,7 @@ class ServingEngine:
     ) -> ServingResult:
         """Serve ``trace`` to completion and return measured statistics."""
         check_sla_latency_s(sla_latency_s)
-        run = self.simulate(trace, sla_latency_s=sla_latency_s,
-                            telemetry=telemetry)
+        run = self.simulate(trace, telemetry=telemetry)
         return aggregate_serving_result(
             run.requests,
             model_name=self.model.name,
@@ -955,7 +916,6 @@ class ServingEngine:
         self,
         trace: Sequence[Query],
         *,
-        sla_latency_s: Optional[float] = None,
         telemetry: Optional[TraceRecorder] = None,
     ) -> EngineRun:
         """Run the event loop over ``trace`` and return per-request outcomes.
@@ -963,16 +923,13 @@ class ServingEngine:
         The building block of :meth:`run` (which folds the outcome into a
         :class:`ServingResult`) and of ``repro.cluster`` (which serves one
         trace per replica and re-attributes requests to tenants).
-        ``sla_latency_s`` only informs the ``sla_deadline`` preemption
-        policy's notion of slack; it never gates admission.
         ``telemetry`` attaches a :class:`~repro.telemetry.TraceRecorder`
         (or one of its scopes) that the run emits lifecycle events into.
 
         Equivalent to :meth:`begin` plus one unbounded :meth:`advance`;
         callers that need epoch segmentation use those directly.
         """
-        return self.advance(self.begin(trace, sla_latency_s=sla_latency_s,
-                                       telemetry=telemetry))
+        return self.advance(self.begin(trace, telemetry=telemetry))
 
     # ---------------------------------------------------------- segmented runs
 
@@ -980,7 +937,6 @@ class ServingEngine:
         self,
         trace: Sequence[Query],
         *,
-        sla_latency_s: Optional[float] = None,
         planning_trace: Optional[Sequence[Query]] = None,
         telemetry: Optional["TraceRecorder | ScopedRecorder"] = None,
     ) -> EngineState:
@@ -1017,8 +973,7 @@ class ServingEngine:
             kv_budget=kv_budget,
             weight_bytes=weight_bytes,
             planned_context=planned_context,
-            admission=self._admission_type(self, plan, kv_budget, recorder,
-                                           sla_latency_s),
+            admission=self._admission_type(self, plan, kv_budget, recorder),
             bytes_per_token=self._profile.kv_cache_bytes_per_token(),
             columns=RequestColumns.sized_for(queries),
             # Weights are resident for the whole run (feasibility checked
@@ -1277,19 +1232,16 @@ class ServingEngine:
                       via=via, ready_s=request.restore_ready_s,
                       rebuild_tokens=request.restore_remaining, **priced)
 
-    # Building one iteration.  Default (prefill-priority, vLLM's stock
-    # scheduler): an iteration runs either a bounded chunk of prefill work
-    # or one decode step for the whole running batch; decode stalls until
-    # the prefill backlog drains, and the stall surfaces in the measured
+    # Building one iteration (prefill-priority, vLLM's stock scheduler): an
+    # iteration runs either a bounded chunk of prefill work or one decode
+    # step for the whole running batch; decode stalls until the prefill
+    # backlog drains, and the stall surfaces in the measured
     # time-between-tokens.  The static special case (everything prefilled,
     # then lockstep decoding) thereby reproduces the closed-form batch
-    # decode throughput.  With ``interleave_prefill`` (chunked-prefill
-    # mode) the iteration runs the prefill chunk *and* the decode step
-    # together, so the stall is bounded by the chunk at the price of
-    # stretching the co-scheduled decode iteration.  Recompute restores
-    # share the prefill chunk budget: rebuilding a victim's KV is prompt
-    # work.  Both builds return ``(prefill_work, decode_batch,
-    # all_decode_ready)``.
+    # decode throughput.  Recompute restores share the prefill chunk
+    # budget: rebuilding a victim's KV is prompt work.  Both builds return
+    # ``(prefill_work, decode_batch, all_decode_ready)``, and at most one
+    # of the two lists is non-empty.
 
     def _build_scalar(self, state: EngineState):
         """The per-request reference build (the vectorized build's oracle)."""
@@ -1302,8 +1254,6 @@ class ServingEngine:
                 break
             if request.restore_ready_s > clock:
                 continue  # swap-in still in flight
-            # A rebuild (lost prefix or whole context) streams before any
-            # still-pending prompt tail.
             remaining = (request.restore_remaining
                          if request.restore_remaining > 0
                          else request.prefill_remaining)
@@ -1312,7 +1262,7 @@ class ServingEngine:
             tokens = min(remaining, chunk_budget)
             prefill_work.append((request, tokens))
             chunk_budget -= tokens
-        if prefill_work and not self.interleave_prefill:
+        if prefill_work:
             decode_batch: List[ServingRequest] = []
         else:
             decode_batch = [r for r in running
@@ -1356,7 +1306,7 @@ class ServingEngine:
                 tokens = min(remaining, chunk_budget)
                 prefill_work.append((running[index], tokens))
                 chunk_budget -= tokens
-        if prefill_work and not self.interleave_prefill:
+        if prefill_work:
             decode_batch: List[ServingRequest] = []
         else:
             decode_batch = [running[i]
@@ -1386,7 +1336,7 @@ class ServingEngine:
                 if not self._stand_in_top(state, until_s):
                     return True
                 state.window_evictions += 1
-            decode_batch, _ = state.admission.grow(state, list(state.running), [])
+            decode_batch = state.admission.grow(state, list(state.running))
             # A non-empty batch is the whole surviving ``running`` list.
             if not decode_batch or not state.admission.blocked(state):
                 return self._execute(state, until_s, [], decode_batch)
@@ -1538,8 +1488,7 @@ class ServingEngine:
         next arrival, whichever is sooner) instead of spinning.  ``False``
         when the segment must stop."""
         if decode_batch:
-            decode_batch, prefill_work = state.admission.grow(
-                state, decode_batch, prefill_work)
+            decode_batch = state.admission.grow(state, decode_batch)
         return self._execute(state, until_s, prefill_work, decode_batch)
 
     def _execute(self, state: EngineState, until_s: Optional[float],
@@ -1602,8 +1551,7 @@ class ServingEngine:
         if rec is not None:
             decode_ids = tuple(r.request_id for r in decode_batch)
             prefill_ids = tuple(r.request_id for r, _ in prefill_work)
-            kind = ("mixed" if decode_ids and prefill_ids
-                    else "decode" if decode_ids else "prefill")
+            kind = "decode" if decode_ids else "prefill"
             rec.window_step(kind, (decode_ids, prefill_ids), start_s, clock, 1,
                             sum(chunk_sizes) if prefill_ids else 0)
             rec.now_s = clock
@@ -1622,16 +1570,11 @@ class ServingEngine:
                 # generated tokens and rejoins decode next iteration.
                 request.restore_remaining -= tokens
                 if request.restore_remaining == 0:
-                    if request.prefill_remaining == 0:
-                        request.state = RequestState.DECODE
-                    # Eviction-to-rebuilt: the rebuild span joins the
-                    # off-device time already accrued at resume (a prefill
-                    # victim's prompt tail then continues as ordinary,
-                    # non-stall prefill work).
-                    rebuild_s = clock - request.restore_started_s
-                    request.stall_s += rebuild_s
-                    if request.first_token_time_s is None:
-                        request.prefill_stall_s += rebuild_s
+                    # Victims are decoding requests, so the rebuilt one
+                    # decodes next; the rebuild span joins the off-device
+                    # time already accrued at resume.
+                    request.state = RequestState.DECODE
+                    request.stall_s += clock - request.restore_started_s
                 continue
             request.prefill_remaining -= tokens
             if request.prefill_remaining == 0:
@@ -1845,8 +1788,8 @@ class ServingEngine:
         """Rough sustainable arrival rate (queries/s) for ``trace``'s shape.
 
         Models the engine's actual steady state: prefills serialise (one
-        request's prompt streams exclusively, and by default decoding stalls
-        while it does), whereas decode iterations advance the whole batch at
+        request's prompt streams exclusively, and decoding stalls while it
+        does), whereas decode iterations advance the whole batch at
         once, so a query's decode share is ``decode_tokens`` iterations
         divided across the occupied slots.  Useful for choosing an arrival
         rate that loads, but does not drown, the system.  The memory-side

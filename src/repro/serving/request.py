@@ -211,8 +211,8 @@ class ServingRequest:
         "_columns",
         "_row",
         "kv_reserved_bytes",
-        #: Size of the current rebuild (a decode victim's whole context, a
-        #: prefill victim's lost prefix); prices the rebuild chunks' midpoints.
+        #: Size of the current rebuild (the victim's whole context less a
+        #: pinned shared prefix); prices the rebuild chunks' midpoints.
         "restore_total",
         #: Tokens the next resume must re-allocate blocks for.
         "resume_kv_tokens",
@@ -241,7 +241,7 @@ class ServingRequest:
         "recompute_tokens",
         "stall_s",
         #: Share of ``stall_s`` accrued before the first token was emitted
-        #: (a preempted prefill victim's off-device and rebuild time); the
+        #: (a request live-migrated mid-prefill: its park and swap-in); the
         #: attribution layer splits the stall across the prefill/decode
         #: phases with it.
         "prefill_stall_s",

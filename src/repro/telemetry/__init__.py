@@ -5,7 +5,7 @@ Quickstart::
     from repro.telemetry import TraceRecorder, write_perfetto, write_jsonl
 
     recorder = TraceRecorder()
-    run = engine.simulate(trace, sla_latency_s=30.0, telemetry=recorder)
+    run = engine.simulate(trace, telemetry=recorder)
     write_perfetto(recorder, "trace.json")    # chrome://tracing / Perfetto
     write_jsonl(recorder, "trace.jsonl")      # python -m repro.telemetry
 

@@ -366,7 +366,6 @@ def verify_conservation(attribution: RunAttribution) -> None:
 _WINDOW_KINDS = {
     "engine.decode_window": "decode",
     "engine.prefill_window": "prefill",
-    "engine.mixed_window": "mixed",
 }
 
 
@@ -383,8 +382,7 @@ class TraceAttribution:
     ``(ts_s, used_fraction)`` timeline.
     """
 
-    #: ``{scope: {"decode": s, "prefill": s, "mixed": s,
-    #:            "start_s": t0, "end_s": t1}}``
+    #: ``{scope: {"decode": s, "prefill": s, "start_s": t0, "end_s": t1}}``
     scope_busy: Dict[str, Dict[str, float]]
     #: One dict per request per scope: scope, request_id, queued_s,
     #: prefill_s, decode_s, preempted_s, finished.
@@ -404,7 +402,7 @@ class TraceAttribution:
         span = busy["end_s"] - busy["start_s"]
         if span <= 0:
             return 0.0
-        return (busy["decode"] + busy["prefill"] + busy["mixed"]) / span
+        return (busy["decode"] + busy["prefill"]) / span
 
 
 def _scope_busy(events: Sequence[Event]) -> Dict[str, Dict[str, float]]:
@@ -412,7 +410,7 @@ def _scope_busy(events: Sequence[Event]) -> Dict[str, Dict[str, float]]:
     for event in events:
         scope = event["scope"]
         entry = busy.setdefault(scope, {"decode": 0.0, "prefill": 0.0,
-                                        "mixed": 0.0, "start_s": event["ts_s"],
+                                        "start_s": event["ts_s"],
                                         "end_s": event["ts_s"]})
         entry["start_s"] = min(entry["start_s"], event["ts_s"])
         entry["end_s"] = max(entry["end_s"],
@@ -559,17 +557,17 @@ def utilization_summary(events: Iterable[Event]) -> str:
     if not attribution.scope_busy:
         return "empty trace"
     lines = ["per-scope utilization (window-span seconds over observed span):",
-             f"  {'scope':<14} {'span':>9} {'prefill':>9} {'decode':>9} "
-             f"{'mixed':>9}  busy%"]
+             f"  {'scope':<14} {'span':>9} {'prefill':>9} {'decode':>9}"
+             "  busy%"]
     for scope in sorted(attribution.scope_busy):
         busy = attribution.scope_busy[scope]
         span = busy["end_s"] - busy["start_s"]
         if busy["decode"] == 0.0 and busy["prefill"] == 0.0 \
-                and busy["mixed"] == 0.0 and scope == "control":
+                and scope == "control":
             continue
         lines.append(
             f"  {scope:<14} {span:>8.3f}s {busy['prefill']:>8.3f}s "
-            f"{busy['decode']:>8.3f}s {busy['mixed']:>8.3f}s "
+            f"{busy['decode']:>8.3f}s "
             f"{attribution.scope_utilization(scope):>6.1%}")
     if attribution.kv_occupancy:
         lines.append("")

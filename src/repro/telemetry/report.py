@@ -38,7 +38,6 @@ _COLORS = {
     "prefill": "#4c78a8",
     "decode": "#59a14f",
     "preempted": "#e15759",
-    "mixed": "#9d755d",
     "idle": "#d3d3d3",
 }
 
@@ -155,11 +154,11 @@ def _utilization_section(attribution: TraceAttribution) -> str:
     for scope in sorted(attribution.scope_busy):
         busy = attribution.scope_busy[scope]
         span = busy["end_s"] - busy["start_s"]
-        active = busy["prefill"] + busy["decode"] + busy["mixed"]
+        active = busy["prefill"] + busy["decode"]
         if active == 0.0 and scope == "control":
             continue  # the control plane has no engine windows
         parts = [("prefill", busy["prefill"]), ("decode", busy["decode"]),
-                 ("mixed", busy["mixed"]), ("idle", max(span - active, 0.0))]
+                 ("idle", max(span - active, 0.0))]
         rows.append(
             f"<tr><td class='name'>{_esc(scope)}</td>"
             f"<td>{span:.3f}s</td>"
@@ -173,7 +172,7 @@ def _utilization_section(attribution: TraceAttribution) -> str:
         "<table><tr><th class='name'>scope</th><th>span</th>"
         "<th>busy</th><th style='text-align:left'>breakdown</th></tr>"
         + "".join(rows) + "</table>"
-        + _legend(("prefill", "decode", "mixed", "idle")))
+        + _legend(("prefill", "decode", "idle")))
 
 
 def _attribution_section(attribution: TraceAttribution, *,

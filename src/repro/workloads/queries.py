@@ -27,10 +27,6 @@ class Query:
     ``arrival_time_s`` defaults to zero, which reproduces the paper's static
     evaluation shape (every query present at the start of the run); the
     serving engine uses it to replay trace-driven open-loop traffic.
-    ``priority`` ranks requests for the paged-admission ``priority``
-    preemption policy (lower values are evicted first); the default gives
-    every request equal standing, so traces that never set it behave as
-    before.
 
     ``prefix_id`` / ``prefix_tokens`` declare that the first
     ``prefix_tokens`` of the prompt are content-identical across every
@@ -43,7 +39,6 @@ class Query:
     prompt_tokens: int
     decode_tokens: int
     arrival_time_s: float = 0.0
-    priority: float = 1.0
     prefix_id: Optional[str] = None
     prefix_tokens: int = 0
 
@@ -52,10 +47,6 @@ class Query:
             raise ValueError("prompt and decode token counts must be positive")
         if not np.isfinite(self.arrival_time_s) or self.arrival_time_s < 0:
             raise ValueError("arrival time must be finite and non-negative")
-        if not np.isfinite(self.priority) or self.priority < 0:
-            raise ValueError(
-                f"priority must be finite and non-negative, got {self.priority!r}"
-            )
         if (self.prefix_id is None) != (self.prefix_tokens == 0):
             raise ValueError(
                 "prefix_id and prefix_tokens must be set together "

@@ -60,14 +60,16 @@ class TestControlConfig:
         {"rebalance": "hourly"},
         {"migration": "teleport"},
         {"hysteresis": -0.1},
-        {"min_epochs_between": -1},
-        {"lookahead_epochs": 0},
-        {"feedback_alpha": 0.0},
-        {"feedback_alpha": 1.5},
+        {"hysteresis": float("nan")},
+        {"hysteresis": float("inf")},
+        {"hysteresis": float("-inf")},
+        {"epoch_s": -1.0},
         {"max_epochs": 0},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        """A NaN ``hysteresis`` used to construct and then make every gain
+        comparison false, so the closed loop never re-placed."""
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ControlConfig(**kwargs)
 
     @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf")])
@@ -191,9 +193,9 @@ class TestSegmentedEngine:
         engine = ServingEngine(system, context_step=512, admission=admission,
                                memory_capacity_bytes=system.memory_capacity_bytes // 4)
         trace = timed_trace(20, 8.0)
-        whole = engine.simulate(trace, sla_latency_s=30.0)
+        whole = engine.simulate(trace)
 
-        state = engine.begin(trace, sla_latency_s=30.0)
+        state = engine.begin(trace)
         boundary = 0.0
         for _ in range(200):
             if state.drained:
@@ -756,6 +758,18 @@ class TestClosedLoop:
         result = engine.run(control=control)
         served = result.tenant_results["t"]
         assert served.num_completed + served.num_rejected == 10
+        # The drain is reported, not silent: control stopped at the bound.
+        assert result.control_stopped_epoch == 3
+
+    def test_control_stopped_epoch_none_when_control_holds(self, small_model):
+        tenant = TenantSpec("t", model=small_model,
+                            trace=timed_trace(10, 2.0, seed=14))
+        engine = ClusterEngine(CentConfig(num_devices=2, context_samples=2),
+                               [tenant], context_step=512)
+        closed = engine.run(control=ControlConfig(epoch_s=0.5))
+        assert closed.epoch_timeline
+        assert closed.control_stopped_epoch is None
+        assert engine.run().control_stopped_epoch is None  # open loop
 
     def test_epoch_s_conflicts_with_explicit_control(self, small_model):
         tenant = TenantSpec("t", model=small_model, trace=timed_trace(3, 5.0))

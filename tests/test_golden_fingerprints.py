@@ -110,16 +110,12 @@ def pressured(system, **kwargs):
 #: with the always-zero partial-eviction count already dropped from the
 #: encoding.  One per ``SCENARIOS`` entry, each run under memory pressure.
 SCENARIO_DIGESTS = {
-    "paged_interleave":
-        "5cb09975f59ed15f2c2fa5bdd6fcc2d205bbd7ea6ef97ec3ad4f57dd81690996",
     "paged_recompute":
         "a7ba849bd076162fee90772ec29faa9046f464b6f737b0cbfd594c4973a4e898",
     "paged_swap":
         "712c3f5b6cf548a4166f9846349c2aad34fd2b38b3cce6d823b8a0d1626151ab",
     "reserve":
         "3ace9f083fd33947ed9e489760b671145741b97aec5c66919df7c5cd4dd55fce",
-    "reserve_interleave":
-        "10dbe653c31f82fde037c016a40534f4888afcabeabf1ebb915a0b7fd68ee997",
 }
 SEGMENTED_DIGEST = (
     "4a63ecdd15d4016ee57fff056c1ade973d9e35fbaacc0f7d33b88e9dd2cfe68a")

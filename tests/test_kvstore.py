@@ -11,7 +11,6 @@ from repro.core.system import CentSystem
 from repro.cxl.link import CXL_3_0_LINK
 from repro.evaluation import overload_preemption_study
 from repro.kvstore import (
-    PREEMPTION_POLICIES,
     RESTORE_MODES,
     BlockPool,
     KvAllocator,
@@ -21,7 +20,7 @@ from repro.kvstore import (
 from repro.mapping.parallelism import PipelineParallel
 from repro.models.config import ModelConfig
 from repro.models.memory import ModelMemoryProfile
-from repro.serving import ADMISSION_MODES, RequestState, ServingEngine, ServingRequest
+from repro.serving import ADMISSION_MODES, ServingEngine, ServingRequest
 from repro.workloads import (
     Query,
     fixed_queries,
@@ -176,10 +175,8 @@ class TestKvAllocator:
             alloc.grow("ghost", 8)           # unknown owner
 
 
-def make_request(request_id, *, arrival=0.0, priority=1.0, last_token=None,
-                 admitted=None):
-    request = ServingRequest(
-        request_id, Query(64, 64, arrival_time_s=arrival, priority=priority))
+def make_request(request_id, *, arrival=0.0, last_token=None, admitted=None):
+    request = ServingRequest(request_id, Query(64, 64, arrival_time_s=arrival))
     request.last_token_time_s = last_token
     request.admitted_time_s = admitted
     return request
@@ -189,48 +186,35 @@ class TestPreemptionPolicy:
     def test_lru_evicts_stalest_then_latest_arrival(self):
         stale = make_request(0, last_token=1.0)
         fresh = make_request(1, last_token=5.0)
-        assert PreemptionPolicy("lru").select_victim([fresh, stale], 6.0) is stale
+        assert PreemptionPolicy().select_victim([fresh, stale]) is stale
         # Ties on last use break toward the later arrival, then larger id.
         a = make_request(0, arrival=0.0, last_token=2.0)
         b = make_request(1, arrival=1.0, last_token=2.0)
-        assert PreemptionPolicy("lru").select_victim([a, b], 3.0) is b
+        assert PreemptionPolicy().select_victim([a, b]) is b
 
     def test_lru_falls_back_to_admission_then_arrival(self):
         admitted = make_request(0, admitted=4.0)
         arrived = make_request(1, arrival=2.0)
-        assert PreemptionPolicy("lru").select_victim([admitted, arrived], 5.0) \
-            is arrived
-
-    def test_priority_evicts_lowest_priority_first(self):
-        high = make_request(0, priority=2.0, last_token=0.0)
-        low = make_request(1, priority=0.5, last_token=9.0)
-        assert PreemptionPolicy("priority").select_victim([high, low], 10.0) is low
-
-    def test_sla_deadline_evicts_most_slack(self):
-        early = make_request(0, arrival=0.0)
-        late = make_request(1, arrival=5.0)
-        policy = PreemptionPolicy("sla_deadline", sla_latency_s=10.0)
-        # The later arrival's deadline is further out: it has the most slack.
-        assert policy.select_victim([early, late], 7.0) is late
+        assert PreemptionPolicy().select_victim([admitted, arrived]) is arrived
 
     def test_selection_is_deterministic(self):
         requests = [make_request(i, arrival=float(i % 3)) for i in range(6)]
-        for name in PREEMPTION_POLICIES:
-            policy = PreemptionPolicy(name, sla_latency_s=5.0)
-            first = policy.select_victim(requests, 4.0)
-            assert all(policy.select_victim(requests, 4.0) is first
+        for restore in RESTORE_MODES:
+            policy = PreemptionPolicy(restore)
+            first = policy.select_victim(requests)
+            # Stalest last use (the arrival here), then the larger id.
+            assert first is requests[3]
+            assert all(policy.select_victim(reversed(requests)) is first
                        for _ in range(5))
 
     def test_empty_candidates(self):
-        assert PreemptionPolicy().select_victim([], 0.0) is None
+        assert PreemptionPolicy().select_victim([]) is None
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="restore mode"):
             PreemptionPolicy("random")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="restore mode"):
             PreemptionPolicy(restore="teleport")
-        with pytest.raises(ValueError):
-            PreemptionPolicy(sla_latency_s=0.0)
 
 
 class TestSwapPricing:
@@ -322,26 +306,6 @@ class TestPagedAdmission:
         assert result.num_rejected == 1
         assert result.num_completed == 4
 
-    def test_priority_policy_evicts_low_priority_first(self, system, pp_plan,
-                                                       profile):
-        # Small prompts so all eight admit before the pool runs dry, then
-        # decode growth forces evictions among a fully mixed running batch.
-        trace = [Query(64, 448, priority=2.0 if i % 2 == 0 else 0.5)
-                 for i in range(8)]
-        capacity = tight_capacity(profile, 2.2, 512)
-        engine = ServingEngine(system, pp_plan, memory_capacity_bytes=capacity,
-                               admission="paged", preemption_policy="priority")
-        run = engine.simulate(trace)
-        assert run.preemption_log
-        expendable_ids = {r.request_id for r in run.requests
-                          if r.query.priority < 1.0}
-        first_victims = [rid for _, rid in run.preemption_log[:4]]
-        assert set(first_victims) <= expendable_ids
-        # Low-priority requests bear at least as many evictions overall.
-        low = sum(1 for _, rid in run.preemption_log if rid in expendable_ids)
-        high = len(run.preemption_log) - low
-        assert low >= high
-
     def test_peak_memory_stays_within_capacity_at_low_occupancy(self, small_model,
                                                                 profile):
         # The pool's effective capacity exceeds the raw budget at
@@ -356,36 +320,6 @@ class TestPagedAdmission:
                                admission="paged").run(trace)
         assert result.num_completed == 8
         assert result.peak_memory_bytes <= capacity
-
-    def test_midprefill_recompute_victim_rebuilds_prefix(self, system, pp_plan,
-                                                         profile):
-        # Chunked-prefill mode lets decode growth evict a request whose
-        # prompt is still streaming.  The pool is sized in whole blocks —
-        # two small prompts (4 blocks each), the long prompt (24) and 3
-        # spare — so the decoders' block growth exhausts it while the long
-        # prompt (the LRU-stalest request) is still prefilling; recompute
-        # must rebuild exactly its lost prefix and then finish the prompt.
-        bpt = profile.kv_cache_bytes_per_token()
-        capacity = profile.parameter_bytes + (8 + 24 + 3) * 16 * bpt
-        trace = [Query(64, 448), Query(64, 448), Query(384, 64)]
-
-        def build():
-            return ServingEngine(system, pp_plan, memory_capacity_bytes=capacity,
-                                 admission="paged",
-                                 preemption_restore="recompute",
-                                 interleave_prefill=True, prefill_chunk_tokens=16)
-
-        run = build().simulate(trace)
-        long_prompt = run.requests[-1]
-        assert all(r.state is RequestState.FINISHED for r in run.requests)
-        assert long_prompt.preempted_count == 1
-        # Evicted mid-prefill: the redone work is the streamed prefix, not
-        # the whole prompt (and certainly not a decode-stage context).
-        assert 0 < long_prompt.recompute_tokens < long_prompt.query.prompt_tokens
-        # The rebuild span counts toward eviction-to-ready stall.
-        assert long_prompt.stall_s > 0
-        assert run.preemption_log[0][1] == long_prompt.request_id
-        assert build().simulate(trace).preemption_log == run.preemption_log
 
     def test_estimated_capacity_is_admission_aware(self, system, pp_plan,
                                                    profile):
@@ -407,8 +341,6 @@ class TestPagedAdmission:
             ServingEngine(system, pp_plan, admission="optimistic")
         with pytest.raises(ValueError):
             ServingEngine(system, pp_plan, kv_block_tokens=0)
-        with pytest.raises(ValueError):
-            ServingEngine(system, pp_plan, preemption_policy="random")
         with pytest.raises(ValueError):
             ServingEngine(system, pp_plan, preemption_restore="teleport")
         assert ADMISSION_MODES == ("reserve", "paged")
@@ -477,7 +409,6 @@ class TestReserveRegression:
                              memory_capacity_bytes=capacity).run(trace)
         tweaked = ServingEngine(system, pp_plan, memory_capacity_bytes=capacity,
                                 kv_block_tokens=64,
-                                preemption_policy="sla_deadline",
                                 preemption_restore="recompute").run(trace)
         assert base == tweaked
 

@@ -76,15 +76,12 @@ def preempting_trace():
 
 
 #: Same matrix as tests/test_vectorized_engine.py: every admission /
-#: restore / interleave combination the engine supports.
+#: restore combination the engine supports.
 SCENARIOS = {
     "reserve": dict(admission="reserve"),
-    "reserve_interleave": dict(admission="reserve", interleave_prefill=True),
     "paged_swap": dict(admission="paged", preemption_restore="swap"),
     "paged_recompute": dict(admission="paged",
                             preemption_restore="recompute"),
-    "paged_interleave": dict(admission="paged", preemption_restore="swap",
-                             interleave_prefill=True),
 }
 
 

@@ -86,12 +86,9 @@ def fingerprint_of(run):
 
 SCENARIOS = {
     "reserve": dict(admission="reserve"),
-    "reserve_interleave": dict(admission="reserve", interleave_prefill=True),
     "paged_swap": dict(admission="paged", preemption_restore="swap"),
     "paged_recompute": dict(admission="paged",
                             preemption_restore="recompute"),
-    "paged_interleave": dict(admission="paged", preemption_restore="swap",
-                             interleave_prefill=True),
 }
 
 
@@ -302,15 +299,17 @@ class EvictionSpy:
                 self.seen["arrival crossed mid-chain"] += 1
             return stood_in
 
-        def spied_select_eviction(policy, candidates, chains, clock=0.0):
-            kind, victim = select_eviction(policy, candidates, chains, clock)
+        def spied_select_eviction(policy, candidates, chains):
+            kind, victim = select_eviction(policy, candidates, chains)
             if kind == "chain" and self.in_window:
                 self.seen["chain victim in window"] += 1
             return kind, victim
 
         def spied_preempt(admission, state, victim):
-            if victim.restore_remaining > 0:
-                self.seen["re-evicted mid-rebuild"] += 1
+            if victim.prefill_remaining or victim.restore_remaining:
+                self.seen["victim not decoding"] += 1
+            elif admission.policy.restore == "recompute":
+                self.seen["recompute victim"] += 1
             if self.in_window and victim.kv_tokens >= victim.context_length:
                 self.seen["grown victim in window"] += 1
             return preempt(admission, state, victim)
@@ -382,18 +381,19 @@ class TestFusedEvictionChains:
                    memory_capacity_bytes=kv_capacity(small_model, 1500))
         assert spy.seen["idle chain at resume"]
 
-    def test_recompute_victim_evicted_again_mid_rebuild(self, system,
-                                                        small_model,
-                                                        monkeypatch):
-        # Only a co-scheduled decode step grows KV while a rebuild is
-        # underway, so re-eviction needs chunked-prefill mode.
+    def test_recompute_victims_are_decoding(self, system, small_model,
+                                            monkeypatch):
+        # Decode never shares an iteration with prefill or rebuild work,
+        # so no victim is mid-prefill or mid-rebuild: the engine keeps no
+        # path for re-evicting a rebuild or rebuilding a partial prompt.
         spy = EvictionSpy(monkeypatch)
         trace = with_arrivals(sharegpt_like_queries(60, seed=1),
                               poisson_arrivals(60, 400.0, seed=1))
         self.check(system, trace, preemption_restore="recompute",
-                   interleave_prefill=True, prefill_chunk_tokens=64,
+                   prefill_chunk_tokens=64,
                    memory_capacity_bytes=kv_capacity(small_model, 2000))
-        assert spy.seen["re-evicted mid-rebuild"]
+        assert spy.seen["recompute victim"]
+        assert not spy.seen["victim not decoding"]
 
     def test_victim_grown_earlier_in_the_step(self, system, small_model,
                                               monkeypatch):
@@ -460,10 +460,7 @@ def pressure_configs(draw):
     trace = with_arrivals(queries, poisson_arrivals(count, rate, seed=seed))
     kv_tokens = draw(st.sampled_from([2100, 2500, 3000]))
     kwargs = dict(
-        preemption_policy=draw(st.sampled_from(
-            ["lru", "priority", "sla_deadline"])),
         preemption_restore=draw(st.sampled_from(["swap", "recompute"])),
-        interleave_prefill=draw(st.booleans()),
         prefill_chunk_tokens=draw(st.sampled_from([64, 512])),
         kv_block_tokens=draw(st.sampled_from([1, 8, 16, 32])),
         prefix_sharing=draw(st.booleans()),
