@@ -131,10 +131,15 @@ class ControlConfig:
         the :data:`LOOKAHEAD_EPOCHS` horizon exceeds ``(1 + hysteresis)``
         times the migration cost; a finite non-negative number.
     max_epochs:
-        Safety bound; a run still undrained after this many epochs is
-        finished in one final unbounded segment (no further control), and
-        ``ClusterResult.control_stopped_epoch`` records the epoch at which
-        control stopped (``None`` when the run drained under control).
+        Safety bound on the epoch *index*, simulated time divided by
+        ``epoch_s``: once a run still undrained reaches index
+        ``max_epochs`` it is finished in one final unbounded segment (no
+        further control), and ``ClusterResult.control_stopped_epoch``
+        records that index (``None`` when the run drained under control).
+        The index also advances over idle gaps, which are skipped without
+        measuring their epochs, so it bounds simulated time under control,
+        not the number of epochs measured (``epoch_timeline`` may be
+        shorter).
 
     The rebalance cooldown (:data:`MIN_EPOCHS_BETWEEN`) and the demand
     forecast's EWMA weight (:data:`FEEDBACK_ALPHA`) are module constants.

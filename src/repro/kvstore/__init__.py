@@ -26,6 +26,8 @@ engine's ``admission="paged"`` mode:
   re-prefilled through the normal
   :class:`~repro.core.iteration.IterationCostModel` path).  Eviction is
   all-or-nothing, as in vLLM: a victim gives up its whole allocation.
+  :class:`VictimOrder` keeps the running requests in that victim order
+  as they decode, join and leave, so an eviction does not rank them all.
 
 The serving engine (``repro.serving.engine``) owns the event loop; this
 package owns the bookkeeping and the policy decisions, so they can be unit
@@ -37,6 +39,7 @@ from repro.kvstore.allocator import KvAllocator
 from repro.kvstore.preemption import (
     RESTORE_MODES,
     PreemptionPolicy,
+    VictimOrder,
     kv_swap_time_s,
 )
 
@@ -46,5 +49,6 @@ __all__ = [
     "KvAllocator",
     "PreemptionPolicy",
     "RESTORE_MODES",
+    "VictimOrder",
     "kv_swap_time_s",
 ]

@@ -82,7 +82,13 @@ from repro.core.results import ServingResult, check_sla_latency_s
 from repro.core.system import CentSystem
 from repro.kvstore.allocator import KvAllocator
 from repro.kvstore.block_pool import BlockPool
-from repro.kvstore.preemption import PreemptionPolicy, kv_swap_time_s
+from repro.kvstore.preemption import (
+    PreemptionPolicy,
+    VictimCandidates,
+    VictimOrder,
+    kv_swap_time_s,
+    last_use_s,
+)
 from repro.mapping.parallelism import ParallelismPlan
 from repro.mapping.placement import validate_capacity
 from repro.models.memory import ModelMemoryProfile
@@ -320,7 +326,11 @@ class _Admission:
         return steps
 
     def commit_window(self, state: EngineState, ctx0: np.ndarray, steps: int) -> None:
-        """Hold the KV of ``steps`` fast-forwarded decode steps."""
+        """Hold the KV of ``steps`` fast-forwarded decode steps (after the
+        same window's :meth:`cap_window`)."""
+
+    def stamped(self, requests: List[ServingRequest], clock: float) -> None:
+        """``requests`` (running) emitted a token at ``clock``."""
 
     def grow(self, state: EngineState,
              decode_batch: List[ServingRequest]) -> List[ServingRequest]:
@@ -399,13 +409,36 @@ class _ReserveAdmission(_Admission):
             self.reserved_bytes -= request.kv_reserved_bytes
 
 
+def _covered_steps(ctx0: np.ndarray, kv0: np.ndarray, held: np.ndarray,
+                   block_tokens: int, free_blocks: int, steps: int) -> int:
+    """How many of ``steps`` decode steps ``free_blocks`` pool blocks cover
+    for a batch at contexts ``ctx0`` holding ``kv0`` tokens in ``held``
+    blocks (each step grows every request by one token)."""
+    # Growth targets only rise, so the last step's target sets the blocks
+    # the whole window needs; off pressure this decides.
+    needs = -(-np.maximum(ctx0 + (steps - 1), kv0) // block_tokens) - held
+    if int(needs.sum()) <= free_blocks:
+        return steps
+    # Request i takes its (held_i + m + 1)-th block at step
+    # (held_i + m) * B - ctx0_i + 2 (m = 0, 1, ...; a step below 1 means the
+    # first step), so the window ends one step before the batch's
+    # (F + 1)-th crossing, F the free blocks.  A request adds at most F + 1
+    # crossings to the earliest F + 1, and only its ``needs`` crossings fall
+    # inside the window.
+    per_request = min(free_blocks + 1, int(needs.max()))
+    crossings = ((held * block_tokens - ctx0 + 2)[:, None]
+                 + block_tokens * np.arange(per_request))
+    kth = int(np.partition(crossings.ravel(), free_blocks)[free_blocks])
+    return max(kth - 1, 0)
+
+
 class _PagedAdmission(_Admission):
     """``admission="paged"``: blocks for the request's *current* context,
     grown one token per decode step; on pool exhaustion the preemption
     policy evicts a whole victim (swap or recompute)."""
 
-    __slots__ = ("allocator", "policy", "prefix_sharing", "kv_scale",
-                 "link", "pp_stages")
+    __slots__ = ("allocator", "policy", "victims", "prefix_sharing",
+                 "kv_scale", "link", "pp_stages", "_window_kv")
 
     def __init__(self, engine, plan, kv_budget, recorder) -> None:
         self.allocator = KvAllocator(self.make_pool(engine, kv_budget),
@@ -418,6 +451,8 @@ class _PagedAdmission(_Admission):
                            total_blocks=self.allocator.pool.num_blocks,
                            block_bytes=self.allocator.pool.block_bytes)
         self.policy = PreemptionPolicy(engine.preemption_restore)
+        #: The running requests in the policy's victim order.
+        self.victims = VictimOrder()
         self.prefix_sharing = engine.prefix_sharing
         # The pool is sized to budget / kv_occupancy in block bytes; reported
         # memory applies the same discount, so peak_memory_bytes stays
@@ -459,7 +494,10 @@ class _PagedAdmission(_Admission):
         owner, tokens = request.request_id, request.resume_kv_tokens
         if allocator.would_refuse(owner, tokens):
             return False
-        return allocator.allocate(owner, tokens, now_s=state.clock)
+        if not allocator.allocate(owner, tokens, now_s=state.clock):
+            return False
+        self.victims.join(request, last_use_s(request))
+        return True
 
     def _prefix_key(self, request: ServingRequest):
         return request.query.prefix_key if self.prefix_sharing else None
@@ -494,6 +532,8 @@ class _PagedAdmission(_Admission):
             else:
                 head.prefix_pending = True
         head.kv_tokens = query.prompt_tokens
+        # ``_admit`` stamps the admission with this clock.
+        self.victims.join(head, state.clock)
         return True
 
     def admitted_args(self, request: ServingRequest) -> dict:
@@ -517,49 +557,29 @@ class _PagedAdmission(_Admission):
     def resident_bytes(self) -> int:
         return int(self.allocator.allocated_bytes * self.kv_scale)
 
-    @staticmethod
-    def _block_demand(ctx0: np.ndarray, kv0: np.ndarray, held: np.ndarray,
-                      block_tokens: int, steps: int) -> int:
-        """Blocks the whole batch must acquire to decode ``steps``
-        iterations (growth targets are monotone, so only the final target
-        matters)."""
-        target = np.maximum(ctx0 + (steps - 1), kv0)
-        need = -(-target // block_tokens) - held
-        return int(np.maximum(need, 0).sum())
-
     def cap_window(self, state: EngineState, ctx0: np.ndarray, steps: int) -> int:
         # Zero sends the iteration to the growth loop, which evicts.
         pool = self.allocator.pool
         kv0 = state.columns.kv_tokens[state.running_rows]
-        block_tokens = pool.block_tokens
-        held = -(-kv0 // block_tokens)
-        free_blocks = pool.free_blocks
-        demand = self._block_demand
-        if demand(ctx0, kv0, held, block_tokens, steps) <= free_blocks:
-            return steps
-        low = 1 if demand(ctx0, kv0, held, block_tokens, 1) <= free_blocks else 0
-        high = steps
-        while low and high - low > 1:
-            mid = (low + high) // 2
-            if demand(ctx0, kv0, held, block_tokens, mid) <= free_blocks:
-                low = mid
-            else:
-                high = mid
-        return low
+        held = -(-kv0 // pool.block_tokens)
+        self._window_kv = (kv0, held)
+        return _covered_steps(ctx0, kv0, held, pool.block_tokens,
+                              pool.free_blocks, steps)
 
     def commit_window(self, state: EngineState, ctx0: np.ndarray, steps: int) -> None:
-        cols, rows = state.columns, state.running_rows
-        kv0 = cols.kv_tokens[rows]
-        block_tokens = self.allocator.pool.block_tokens
+        kv0, held = self._window_kv
         targets = np.maximum(ctx0 + (steps - 1), kv0)
-        needs = -(-targets // block_tokens) - (-(-kv0 // block_tokens))
+        needs = -(-targets // self.allocator.pool.block_tokens) - held
         if not self.allocator.grow_many(
                 [r.request_id for r in state.running],
                 targets.tolist(), needs.tolist()):
             raise RuntimeError(
                 "fast-forward window overdrew the block pool; this is a bug")
-        cols.kv_tokens[rows] = targets
+        state.columns.kv_tokens[state.running_rows] = targets
         self.note_peak(state)
+
+    def stamped(self, requests: List[ServingRequest], clock: float) -> None:
+        self.victims.stamp(requests, clock)
 
     def grow(self, state: EngineState,
              decode_batch: List[ServingRequest]) -> List[ServingRequest]:
@@ -573,6 +593,7 @@ class _PagedAdmission(_Admission):
         # (the chain stays cached on the pool).
         self.allocator.release(request.request_id, now_s=now_s)
         request.kv_tokens = 0
+        self.victims.leave(request)
 
     # ------------------------------------------------------------ eviction
 
@@ -584,15 +605,21 @@ class _PagedAdmission(_Admission):
         Decode never shares an iteration with prefill work, so every
         candidate victim (ready, not the one growing) is decoding too: no
         victim is ever mid-prefill or mid-rebuild."""
-        allocator, policy = self.allocator, self.policy
-        running, clock, cols = state.running, state.clock, state.columns
+        allocator, policy, victims = self.allocator, self.policy, self.victims
+        clock, cols = state.clock, state.columns
         # A candidate's target changes only when it grows itself, so one
-        # gather reads every target the walk below grows to.
-        rows = np.fromiter((r._row for r in candidates), dtype=np.intp,
-                           count=len(candidates))
+        # gather reads every target the walk below grows to.  Candidates
+        # as many as ``running`` are ``running`` (builds filter it in
+        # order), whose rows may already be gathered.
+        rows = state.running_rows
+        if rows is None or len(candidates) != len(state.running):
+            rows = np.fromiter((r._row for r in candidates), dtype=np.intp,
+                               count=len(candidates))
+        kv_tokens = cols.kv_tokens
         targets = np.maximum(
             cols.prompt_tokens[rows] - cols.prefill_remaining[rows]
-            + cols.tokens_generated[rows], cols.kv_tokens[rows]).tolist()
+            + cols.tokens_generated[rows], kv_tokens[rows]).tolist()
+        pool = allocator.pool
         batch: List[ServingRequest] = []
         evicted = set()
         for request, target in zip(candidates, targets, strict=True):
@@ -600,11 +627,10 @@ class _PagedAdmission(_Admission):
                 continue  # evicted by an earlier candidate's growth
             grown = allocator.grow(request.request_id, target)
             while not grown:
-                victims = [r for r in running
-                           if r is not request and r.restore_ready_s <= clock]
                 kind, victim = policy.select_eviction(
-                    victims,
-                    allocator.evictable_prefixes() if self.prefix_sharing else ())
+                    VictimCandidates(victims, request, clock),
+                    allocator.evictable_prefixes()
+                    if self.prefix_sharing and pool.idle_chains else ())
                 if kind == "chain":
                     # The coldest blocks pool-wide belong to an idle
                     # (refcount-zero) shared prefix: reclaim it before
@@ -619,7 +645,7 @@ class _PagedAdmission(_Admission):
                     break
                 grown = allocator.grow(request.request_id, target)
             if grown:
-                request.kv_tokens = target
+                kv_tokens[request._row] = target
                 batch.append(request)
         return batch
 
@@ -664,6 +690,7 @@ class _PagedAdmission(_Admission):
             victim.restore_total = rebuild
         state.running.remove(victim)
         state.running_rows = None
+        self.victims.leave(victim)
         state.preempted.append(victim)
         state.preemption_log.append((clock, victim.request_id))
         rec = state.recorder
@@ -1429,6 +1456,7 @@ class ServingEngine:
                 clocks[2:steps + 1] - clocks[1:steps])
         cols.tokens_generated[rows] = gen + steps
         cols.last_token_time_s[rows] = clock_end
+        state.admission.stamped(running, clock_end)
         decode_fold = np.empty(steps + 1)
         decode_fold[0] = state.decode_time_s
         decode_fold[1:] = span[:steps]
@@ -1616,6 +1644,10 @@ class ServingEngine:
         for request in prefill_completed:
             if request.tokens_generated >= request.query.decode_tokens:
                 finished.append(request)
+        # Decode never shares an iteration with prefill work.
+        stamped = decode_batch or prefill_completed
+        if stamped:
+            state.admission.stamped(stamped, clock)
         if finished:
             self._retire(state, finished)
 

@@ -760,6 +760,9 @@ class TestClosedLoop:
         assert served.num_completed + served.num_rejected == 10
         # The drain is reported, not silent: control stopped at the bound.
         assert result.control_stopped_epoch == 3
+        # The bound is on the epoch index, which the idle-gap fast-forward
+        # advances too: only one epoch was measured before the stop.
+        assert len(result.epoch_timeline) == 1
 
     def test_control_stopped_epoch_none_when_control_holds(self, small_model):
         tenant = TenantSpec("t", model=small_model,
