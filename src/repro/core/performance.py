@@ -36,7 +36,6 @@ compilation.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -134,9 +133,7 @@ class ProgramMemo:
 
     The key is (step, allocator row, timing, geometry): two lookups share an
     entry only if compiling the step would produce the same programs and a
-    fresh channel would execute them identically.  Thread-safe; a miss
-    compiles and executes outside the lock, so racing threads at worst both
-    compute the same entry.
+    fresh channel would execute them identically.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -144,7 +141,6 @@ class ProgramMemo:
             raise ValueError("memo capacity must be positive")
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple, StepCost]" = OrderedDict()
-        self._lock = threading.Lock()
 
     @staticmethod
     def key(step: BlockStep, row: Optional[int], timing: TimingParameters,
@@ -154,31 +150,26 @@ class ProgramMemo:
         return (step, row, timing, geometry)
 
     def __len__(self) -> int:
-        with self._lock:  # never observe an insert before its eviction
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: Tuple) -> bool:
         return key in self._entries
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()
 
     def cost(self, step: BlockStep, row: Optional[int],
              timing: TimingParameters, geometry: ChannelGeometry) -> StepCost:
         """The cost of ``step`` with its allocator at ``row``, compiled and
         executed at most once per key while the entry stays in the memo."""
         key = (step, row, timing, geometry)
-        with self._lock:
-            cost = self._entries.get(key)
-            if cost is not None:
-                self._entries.move_to_end(key)
-                return cost
-        cost = _compile_and_run(step, row, timing, geometry)
-        with self._lock:
-            self._entries[key] = cost
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        cost = self._entries.get(key)
+        if cost is not None:
+            self._entries.move_to_end(key)
+            return cost
+        cost = self._entries[key] = _compile_and_run(step, row, timing, geometry)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
         return cost
 
 
@@ -234,11 +225,6 @@ class PerformanceModel:
             raise ValueError("cache capacity must be positive")
         self.cache_capacity = cache_capacity
         self._cache: "OrderedDict[Tuple, BlockCost]" = OrderedDict()
-        # One model instance backs every engine of a CentSystem; callers
-        # that advance engines on their own threads hit this cache
-        # concurrently.  Simulation runs outside the lock — a racing
-        # duplicate computes the same deterministic value.
-        self._cache_lock = threading.Lock()
         self._pnm_latency = PnmLatencyModel(
             clock_ghz=config.pnm_clock_ghz, instances=config.pnm_units
         )
@@ -258,20 +244,15 @@ class PerformanceModel:
         fc_channels = plan.fc_channels_per_block(model)
         attention_channels = plan.attention_channels_per_block(model)
         key = (model, context_length, fc_channels, attention_channels)
-        with self._cache_lock:
-            base = self._cache.get(key)
-            if base is not None:
-                self._cache.move_to_end(key)
-        if base is None:
-            simulated = self._simulate_block(
+        base = self._cache.get(key)
+        if base is not None:
+            self._cache.move_to_end(key)
+        else:
+            base = self._cache[key] = self._simulate_block(
                 model, context_length, fc_channels, attention_channels
             )
-            with self._cache_lock:
-                base = self._cache.get(key)
-                if base is None:
-                    base = self._cache[key] = simulated
-                    while len(self._cache) > self.cache_capacity:
-                        self._cache.popitem(last=False)
+            while len(self._cache) > self.cache_capacity:
+                self._cache.popitem(last=False)
         cxl_ns = self._cxl_latency_ns(model, plan)
         breakdown = LatencyBreakdown(
             pim_ns=base.breakdown.pim_ns,

@@ -419,7 +419,7 @@ class DRAMChannel:
         column access of every affected bank; the write recovery of a WR
         burst's bank moves to its last command, but an EWMUL burst leaves
         the destination banks' write recovery at the first command (see
-        ROADMAP item 9).
+        ROADMAP item 5).
         """
         if count <= 0:
             raise ValueError("burst count must be positive")

@@ -1002,7 +1002,7 @@ class ServingEngine:
             planned_context=planned_context,
             admission=self._admission_type(self, plan, kv_budget, recorder),
             bytes_per_token=self._profile.kv_cache_bytes_per_token(),
-            columns=RequestColumns.sized_for(queries),
+            columns=RequestColumns(capacity=len(queries)),
             # Weights are resident for the whole run (feasibility checked
             # above), even if every request ends up rejected.
             peak_memory=weight_bytes,
@@ -1445,17 +1445,8 @@ class ServingEngine:
         state.admission.commit_window(state, ctx0, steps)
         if steps > 1:
             self._sample_window(state, clocks, span, steps)
-        # Every request's first in-window gap runs from its own last token;
-        # the later gaps are the shared clock deltas, broadcast over the
-        # rows' next sample slots.
-        cursor = cols.tbt_offset[rows] + (gen - 1)
-        samples = cols.tbt_samples
-        samples[cursor] = clocks[1] - cols.last_token_time_s[rows]
-        if steps > 1:
-            samples[cursor[:, None] + np.arange(1, steps)] = (
-                clocks[2:steps + 1] - clocks[1:steps])
-        cols.tokens_generated[rows] = gen + steps
-        cols.last_token_time_s[rows] = clock_end
+        # Each window iteration is one decode step of the whole batch.
+        cols.decode(rows, cols.add_steps(clocks[1:steps + 1]), steps)
         state.admission.stamped(running, clock_end)
         decode_fold = np.empty(steps + 1)
         decode_fold[0] = state.decode_time_s
@@ -1623,24 +1614,24 @@ class ServingEngine:
                         request.query.prefix_key, request.query.prefix_tokens,
                         request.request_id, now_s=clock)
                 prefill_completed.append(request)
-        # Time between tokens, including any prefill stalls since each
-        # request's previous token.  Only a request whose token count changed
-        # can newly finish: the decode batch plus the completed prefills.
+        # A decode iteration is one decode step: its time between tokens
+        # includes any prefill stalls since each request's previous token.
+        # Only a request whose token count changed can newly finish: the
+        # decode batch plus the completed prefills.
+        cols = state.columns
         if batch_rows is not None:
-            cols = state.columns
-            gen = cols.tokens_generated[batch_rows]
-            cols.tbt_samples[cols.tbt_offset[batch_rows] + (gen - 1)] = (
-                clock - cols.last_token_time_s[batch_rows])
-            cols.tokens_generated[batch_rows] = gen + 1
-            cols.last_token_time_s[batch_rows] = clock
+            cols.decode(batch_rows, cols.add_steps((clock,)), 1)
             finished = [decode_batch[i] for i in np.flatnonzero(
                 cols.tokens_generated[batch_rows]
                 >= cols.decode_tokens[batch_rows]).tolist()]
-        else:
+        elif decode_batch:
+            step = cols.add_steps((clock,))
             for request in decode_batch:
-                request.emit_token(clock)
+                request.emit_token(step)
             finished = [r for r in decode_batch
                         if r.tokens_generated >= r.query.decode_tokens]
+        else:
+            finished = []
         for request in prefill_completed:
             if request.tokens_generated >= request.query.decode_tokens:
                 finished.append(request)
@@ -1781,10 +1772,10 @@ class ServingEngine:
         state.requests.append(request)
         for name in _CARRIED_FIELDS:
             setattr(request, name, getattr(moved, name))
-        # The carried history fills the new row's first reserved slots.
-        start = int(state.columns.tbt_offset[request.row])
-        state.columns.tbt_samples[start:start + len(moved.tbt_samples_s)] = (
-            moved.tbt_samples_s)
+        # The carried history becomes the new row's explicit samples.
+        state.columns.add_stretches(
+            np.full(len(moved.tbt_samples_s), request.row),
+            moved.tbt_samples_s, -1)
         request.migrated_count += 1
         request.migrated_kv_bytes += moved.swap_bytes
         rec = state.recorder

@@ -8,13 +8,13 @@ drains.
 
 from __future__ import annotations
 
-from itertools import compress, groupby
-from typing import Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.results import LatencyStats, ServingResult, percentile
-from repro.serving.request import RequestState, ServingRequest
+from repro.core.results import FOLD_CHUNK, LatencyStats, ServingResult, percentile
+from repro.serving.request import RequestColumns, RequestState, ServingRequest
 
 __all__ = [
     "LatencyStats",
@@ -120,28 +120,102 @@ def merge_queue_depth_timelines(
     return list(zip(times[first].tolist(), *totals[last].T.tolist()))
 
 
+def _stretch_samples(gaps: np.ndarray, heads: np.ndarray, first: np.ndarray,
+                     last: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
+    """The samples of stretches ``(heads, first, last)`` in order, in
+    arrays of about ``chunk`` samples (one long stretch may exceed it):
+    each stretch's ``head``, then ``gaps[first + 1 .. last]``."""
+    lengths = last - first + 1
+    ends = np.cumsum(lengths)
+    start = 0
+    while start < ends.size:
+        base = int(ends[start] - lengths[start])
+        stop = max(int(np.searchsorted(ends, base + chunk, side="right")),
+                   start + 1)
+        spans = lengths[start:stop]
+        offsets = ends[start:stop] - spans - base
+        samples = gaps[np.arange(int(ends[stop - 1]) - base)
+                       + np.repeat(first[start:stop] - offsets, spans)]
+        samples[offsets] = heads[start:stop]
+        yield samples
+        start = stop
+
+
 def _completed_samples(
     completed: Sequence[ServingRequest],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """TTFT, query-latency and TBT samples of ``completed``, in request
-    order, as new float64 arrays gathered straight out of each request
-    store's columns.  The TBT samples dominate result volume on
-    long-generation traces (one per generated token), so they are copied
-    exactly once.  An unset timestamp (NaN) yields no sample, like the
-    ``None`` of :attr:`ServingRequest.ttft_s`."""
-    tbt, first, finish, arrival = [], [], [], []
-    for columns, group in groupby(completed, key=lambda r: r.columns):
-        rows = np.fromiter((r.row for r in group), dtype=np.intp)
-        tbt.extend(columns.tbt_views(rows))
-        first.append(columns.first_token_time_s[rows])
-        finish.append(columns.finish_time_s[rows])
-        arrival.append(columns.arrival_time_s[rows])
-    if not tbt:
-        return np.empty(0), np.empty(0), np.empty(0)
-    arrival_s = np.concatenate(arrival)
-    ttft = np.concatenate(first) - arrival_s
-    latency = np.concatenate(finish) - arrival_s
-    return ttft, latency, np.concatenate(tbt)
+) -> Tuple[np.ndarray, np.ndarray, LatencyStats]:
+    """TTFT and query-latency samples of ``completed``, in request order,
+    gathered straight out of each request store's columns, and the TBT
+    statistics of the same requests (:func:`_tbt_stats`).  An unset
+    timestamp (NaN) yields no sample, like the ``None`` of
+    :attr:`ServingRequest.ttft_s`."""
+    ttft, latency = np.empty(len(completed)), np.empty(len(completed))
+    stores: Dict[int, Tuple[RequestColumns, List[int], List[int]]] = {}
+    for position, request in enumerate(completed):
+        columns = request.columns
+        entry = stores.get(id(columns))
+        if entry is None:
+            entry = stores[id(columns)] = (columns, [], [])
+        entry[1].append(request.row)
+        entry[2].append(position)
+    for columns, rows, positions in stores.values():
+        arrival = columns.arrival_time_s[rows]
+        ttft[positions] = columns.first_token_time_s[rows] - arrival
+        latency[positions] = columns.finish_time_s[rows] - arrival
+    return ttft, latency, _tbt_stats(list(stores.values()))
+
+
+def _tbt_stats(
+    stores: Sequence[Tuple[RequestColumns, List[int], List[int]]],
+) -> LatencyStats:
+    """TBT statistics of each store's ``rows``, ordered by ``positions``.
+
+    The samples are rebuilt from each store's step clocks and stretches
+    (:class:`~repro.serving.request.RequestColumns`), never all at once.
+    The stores' step gaps are laid end to end behind one leading pad, so
+    one set of stretch arrays indexes them all.  The mean folds the
+    samples in request order, chunk by chunk.  The percentiles read
+    ``(value, count)`` pairs: every step gap, counted once per stretch
+    that covers it (a +1/-1 difference array), plus each stretch's first
+    sample once.  Every temporary is O(steps + stretches).
+    """
+    total = 1 + sum(columns.steps for columns, _, _ in stores)
+    gap = np.zeros(total)
+    owners, heads, firsts, lasts = [], [], [], []
+    offset = 1
+    for columns, rows, positions in stores:
+        clocks = columns.step_clocks[:columns.steps]
+        np.subtract(clocks[1:], clocks[:-1],
+                    out=gap[offset + 1:offset + columns.steps])
+        rank = np.full(columns.size, -1)
+        rank[rows] = positions
+        owner = rank[columns.stretch_row[:columns.stretches]]
+        mine = np.flatnonzero(owner >= 0)
+        owners.append(owner[mine])
+        heads.append(columns.stretch_gap[mine])
+        firsts.append(columns.stretch_first[mine] + offset)
+        lasts.append(columns.stretch_ends()[mine] + offset)
+        offset += columns.steps
+    if not owners:
+        return LatencyStats()
+    head, first, last = (np.concatenate(parts)
+                         for parts in (heads, firsts, lasts))
+    cover = np.bincount(first + 1, minlength=total + 1)
+    cover -= np.bincount(last + 1, minlength=total + 1)
+    cover = np.cumsum(cover[:total], out=cover[:total])
+    covered = np.flatnonzero(cover)
+    values = np.empty(covered.size + head.size)
+    counts = np.ones(values.size, dtype=np.int64)
+    np.take(gap, covered, out=values[:covered.size])
+    np.take(cover, covered, out=counts[:covered.size])
+    values[covered.size:] = head
+    del cover, covered
+    # Stable: a request's stretches stay oldest first.
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    return LatencyStats.from_counts(
+        _stretch_samples(gap, head[order], first[order], last[order],
+                         FOLD_CHUNK),
+        values, counts)
 
 
 def aggregate_serving_result(
@@ -168,7 +242,7 @@ def aggregate_serving_result(
     completed = [r for r in requests if r.state is RequestState.FINISHED]
     rejected = [r for r in requests if r.state is RequestState.REJECTED]
 
-    ttft, latency, tbts = _completed_samples(completed)
+    ttft, latency, tbt = _completed_samples(completed)
     decode = latency - ttft
 
     within_sla = completed
@@ -184,7 +258,7 @@ def aggregate_serving_result(
         num_rejected=len(rejected),
         makespan_s=makespan_s,
         ttft=LatencyStats.from_samples(ttft[~np.isnan(ttft)]),
-        tbt=LatencyStats.from_samples(tbts),
+        tbt=tbt,
         query_latency=LatencyStats.from_samples(latency[~np.isnan(latency)]),
         decode_latency=LatencyStats.from_samples(decode[~np.isnan(decode)]),
         total_prompt_tokens=sum(r.query.prompt_tokens for r in completed),

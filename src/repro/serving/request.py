@@ -44,6 +44,17 @@ _STATE_BY_CODE = tuple(RequestState)
 _CODE_BY_STATE = {state: code for code, state in enumerate(_STATE_BY_CODE)}
 
 
+def _grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
+    """A copy of ``array``'s first ``used`` entries with room for ``need``,
+    its capacity doubled as often as that takes."""
+    capacity = max(array.size, 1)
+    while capacity < need:
+        capacity *= 2
+    grown = np.zeros(capacity, dtype=array.dtype)
+    grown[:used] = array[:used]
+    return grown
+
+
 class RequestColumns:
     """Struct-of-arrays backing store for a set of serving requests.
 
@@ -52,15 +63,28 @@ class RequestColumns:
     ``None`` of the optional timestamps.  Arrays double on demand and are
     never compacted, so a row index stays valid for the request's lifetime.
 
-    Time-between-tokens samples live in one float64 buffer,
-    ``tbt_samples``.  Appending a row reserves ``max(decode_tokens - 1, 0)``
-    consecutive slots for it, starting at its ``tbt_offset``: the first
-    token (emitted by prefill) has no predecessor, and every later token
-    leaves one sample.  A row therefore always holds exactly
-    ``max(tokens_generated - 1, 0)`` samples, so ``tokens_generated`` is
-    also the write cursor and no count column exists.  The buffer doubles
-    on demand like the row arrays; :meth:`sized_for` allocates a whole
-    trace's slots up front.
+    Time-between-tokens history is stored per decode iteration, not per
+    token.  ``step_clocks`` holds the clock of each decode step the store's
+    engine ran (``steps`` of them).  A row's samples are a few *stretches*,
+    one per run of consecutive steps it decoded in, held in four parallel
+    stretch columns: ``stretch_row``, ``stretch_gap`` (the stretch's first
+    sample, measured from the row's previous token) and the step range
+    ``stretch_first`` .. ``stretch_last``.  The stretch's later samples are
+    ``step_clocks[j] - step_clocks[j - 1]`` for ``j`` in ``(first, last]``:
+    the subtraction the engine's ``clock - last_token_time_s`` performs,
+    so rebuilt samples are exact.  Each row keeps the index of the step
+    it last decoded at (``last_step``; ``-2`` before its first, never the
+    step before another) and of its latest stretch (``open_stretch``).
+    A row decoding at the step right after ``last_step`` extends that
+    stretch, whose ``stretch_last`` is written only when the row opens
+    its next one (:meth:`stretch_ends` reads both); any other decode —
+    the first after prefill, after a preemption, or after sitting out a
+    partial batch — opens a new one.  Step indices, not clocks, decide:
+    a zero-span iteration repeats a clock.  Samples carried in by a live
+    migration are stretches without steps (``first == last == -1``).
+    Stored history therefore grows with engine iterations plus a few
+    records per request, not with generated tokens; a row still yields
+    ``max(tokens_generated - 1, 0)`` samples.
     """
 
     _INT_COLUMNS = (
@@ -70,7 +94,8 @@ class RequestColumns:
         "tokens_generated",
         "kv_tokens",
         "restore_remaining",
-        "tbt_offset",
+        "last_step",
+        "open_stretch",
     )
     _FLOAT_COLUMNS = (
         "arrival_time_s",
@@ -80,9 +105,12 @@ class RequestColumns:
         "finish_time_s",
         "restore_ready_s",
     )
+    _STRETCH_COLUMNS = ("stretch_row", "stretch_gap", "stretch_first",
+                        "stretch_last")
 
-    __slots__ = _INT_COLUMNS + _FLOAT_COLUMNS + (
-        "state_code", "size", "_capacity", "tbt_samples", "_tbt_end")
+    __slots__ = _INT_COLUMNS + _FLOAT_COLUMNS + _STRETCH_COLUMNS + (
+        "state_code", "size", "_capacity", "stretches", "step_clocks",
+        "steps")
 
     def __init__(self, capacity: int = 16) -> None:
         capacity = max(int(capacity), 1)
@@ -93,37 +121,17 @@ class RequestColumns:
         self.state_code = np.zeros(capacity, dtype=np.int8)
         self.size = 0
         self._capacity = capacity
-        self.tbt_samples = np.empty(16)
-        #: One past the last reserved sample slot.
-        self._tbt_end = 0
-
-    @classmethod
-    def sized_for(cls, queries: Sequence[Query]) -> "RequestColumns":
-        """A store with room for ``queries``' rows and sample slots, so a
-        one-shot run never reallocates."""
-        columns = cls(capacity=len(queries))
-        columns.tbt_samples = np.empty(max(
-            sum(max(q.decode_tokens - 1, 0) for q in queries), 16))
-        return columns
+        for name in self._STRETCH_COLUMNS:
+            setattr(self, name, np.zeros(
+                capacity, dtype=float if name == "stretch_gap" else np.int64))
+        self.stretches = 0
+        self.step_clocks = np.zeros(16)
+        self.steps = 0
 
     def _grow(self, need: int) -> None:
-        capacity = self._capacity
-        while capacity < need:
-            capacity *= 2
         for name in self._INT_COLUMNS + self._FLOAT_COLUMNS + ("state_code",):
-            old = getattr(self, name)
-            new = np.zeros(capacity, dtype=old.dtype)
-            new[: self.size] = old[: self.size]
-            setattr(self, name, new)
-        self._capacity = capacity
-
-    def _grow_samples(self, need: int) -> None:
-        capacity = self.tbt_samples.size
-        while capacity < need:
-            capacity *= 2
-        new = np.empty(capacity)
-        new[: self._tbt_end] = self.tbt_samples[: self._tbt_end]
-        self.tbt_samples = new
+            setattr(self, name, _grown(getattr(self, name), self.size, need))
+        self._capacity = self.state_code.size
 
     def append(self, query: Query) -> int:
         """Add a fresh (QUEUED) row for ``query`` and return its index."""
@@ -137,6 +145,8 @@ class RequestColumns:
         self.tokens_generated[row] = 0
         self.kv_tokens[row] = 0
         self.restore_remaining[row] = 0
+        self.last_step[row] = -2
+        self.open_stretch[row] = -1
         self.arrival_time_s[row] = query.arrival_time_s
         self.admitted_time_s[row] = math.nan
         self.first_token_time_s[row] = math.nan
@@ -144,21 +154,67 @@ class RequestColumns:
         self.finish_time_s[row] = math.nan
         self.restore_ready_s[row] = 0.0
         self.state_code[row] = 0  # RequestState.QUEUED
-        start = self._tbt_end
-        end = start + max(query.decode_tokens - 1, 0)
-        if end > self.tbt_samples.size:
-            self._grow_samples(end)
-        self.tbt_offset[row] = start
-        self._tbt_end = end
         return row
 
-    def tbt_views(self, rows: np.ndarray) -> List[np.ndarray]:
-        """Each row's recorded samples, as views into the buffer."""
-        starts = self.tbt_offset[rows]
-        ends = starts + np.maximum(self.tokens_generated[rows] - 1, 0)
-        samples = self.tbt_samples
-        return [samples[start:end]
-                for start, end in zip(starts.tolist(), ends.tolist(), strict=True)]
+    # ------------------------------------------------------------ TBT history
+
+    def add_steps(self, clocks: Sequence[float]) -> int:
+        """Record decode steps ending at ``clocks``; returns the first
+        one's step index."""
+        first = self.steps
+        end = first + len(clocks)
+        if end > self.step_clocks.size:
+            self.step_clocks = _grown(self.step_clocks, first, end)
+        self.step_clocks[first:end] = clocks
+        self.steps = end
+        return first
+
+    def add_stretches(self, rows: np.ndarray, gaps: np.ndarray,
+                      step: int) -> None:
+        """Open one stretch per row at ``step`` with first samples ``gaps``,
+        closing each row's previous one; ``step`` ``-1`` stores the gaps
+        as explicit samples instead, with no step range."""
+        start = self.stretches
+        end = start + len(rows)
+        if end > self.stretch_row.size:
+            for name in self._STRETCH_COLUMNS:
+                setattr(self, name, _grown(getattr(self, name), start, end))
+        self.stretch_row[start:end] = rows
+        self.stretch_gap[start:end] = gaps
+        self.stretch_first[start:end] = step
+        self.stretches = end
+        if step < 0:
+            self.stretch_last[start:end] = step
+            return
+        # An open stretch's last step is its row's ``last_step``; write it
+        # down when the row leaves it.
+        previous = self.open_stretch[rows]
+        closed = previous >= 0
+        self.stretch_last[previous[closed]] = self.last_step[rows[closed]]
+        self.open_stretch[rows] = np.arange(start, end)
+
+    def stretch_ends(self) -> np.ndarray:
+        """Every stretch's last step index, open stretches included."""
+        ends = self.stretch_last[:self.stretches].copy()
+        rows = np.flatnonzero(self.open_stretch[:self.size] >= 0)
+        ends[self.open_stretch[rows]] = self.last_step[rows]
+        return ends
+
+    def decode(self, rows: np.ndarray, first_step: int, steps: int) -> None:
+        """``rows`` (distinct) each generate one token at every decode step
+        from ``first_step`` on, ``steps`` in all: extend or open each
+        row's stretch and advance its token count and last-token time."""
+        extends = self.last_step[rows] == first_step - 1
+        if not extends.all():
+            fresh = rows[~extends]
+            self.add_stretches(
+                fresh,
+                self.step_clocks[first_step] - self.last_token_time_s[fresh],
+                first_step)
+        last_step = first_step + steps - 1
+        self.last_step[rows] = last_step
+        self.tokens_generated[rows] += steps
+        self.last_token_time_s[rows] = self.step_clocks[last_step]
 
 
 def _int_column(name: str):
@@ -342,25 +398,35 @@ class ServingRequest:
 
     # ------------------------------------------------------------------ progress
 
-    def emit_token(self, clock: float) -> None:
-        """Generate one decode token at ``clock`` and record its
-        time-between-tokens sample (the scalar twin of the engine's
-        vectorized scatter)."""
+    def emit_token(self, step: int) -> None:
+        """Generate one decode token at decode step ``step`` (the scalar
+        twin of :meth:`RequestColumns.decode`)."""
         columns, row = self._columns, self._row
-        generated = columns.tokens_generated[row]
-        columns.tbt_samples[columns.tbt_offset[row] + generated - 1] = (
-            clock - columns.last_token_time_s[row])
-        columns.tokens_generated[row] = generated + 1
+        clock = columns.step_clocks[step]
+        if columns.last_step[row] != step - 1:
+            columns.add_stretches(
+                np.array([row]), clock - columns.last_token_time_s[row], step)
+        columns.last_step[row] = step
+        columns.tokens_generated[row] += 1
         columns.last_token_time_s[row] = clock
 
     @property
     def tbt_samples_s(self) -> List[float]:
-        """Time-between-tokens samples recorded so far, oldest first (a
-        copy of the row's slice of ``RequestColumns.tbt_samples``)."""
+        """Time-between-tokens samples recorded so far, oldest first,
+        rebuilt from the row's stretches."""
         columns, row = self._columns, self._row
-        start = columns.tbt_offset[row]
-        count = max(columns.tokens_generated[row] - 1, 0)
-        return columns.tbt_samples[start:start + count].tolist()
+        clocks = columns.step_clocks
+        samples: List[float] = []
+        for index in np.flatnonzero(
+                columns.stretch_row[:columns.stretches] == row).tolist():
+            first = int(columns.stretch_first[index])
+            last = int(columns.last_step[row]
+                       if index == columns.open_stretch[row]
+                       else columns.stretch_last[index])
+            samples.append(float(columns.stretch_gap[index]))
+            samples.extend((clocks[first + 1:last + 1]
+                            - clocks[first:last]).tolist())
+        return samples
 
     @property
     def arrival_time_s(self) -> float:

@@ -117,7 +117,7 @@ class ReferenceDRAMChannel:
         keeps the cost of large ``OPsize`` instructions independent of the
         size.  It is not equivalent to one-by-one issue for EWMUL: the
         destination bank's write recovery stays at the first command of the
-        burst (ROADMAP item 9).
+        burst (ROADMAP item 5).
         """
         if count <= 0:
             raise ValueError("burst count must be positive")

@@ -187,7 +187,7 @@ class TestDramChannelOracle:
 
 
 class TestEwmulBurstMisprice:
-    """Pins a known mis-price (ROADMAP item 9) that both schedulers share.
+    """Pins a known mis-price (ROADMAP item 5) that both schedulers share.
 
     A burst records its last command as a column access, but an EWMUL
     burst leaves the destination bank's write recovery at the burst's first

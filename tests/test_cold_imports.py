@@ -86,6 +86,20 @@ samples = st.lists(st.one_of(
 repeated = st.lists(st.tuples(samples, st.integers(1, 4)), min_size=1,
                     max_size=3).map(
     lambda parts: [v for values, times in parts for v in values * times])
+
+
+@st.composite
+def counted_samples(draw):
+    """Distinct-or-not values, each with a positive count.  ``-0.0`` becomes
+    ``0.0`` (``x + 0.0``): numpy's partition of the repeated array may put
+    either signed zero at a rank, and the counted form never builds that
+    array to find out.  Time-between-tokens gaps are never ``-0.0``."""
+    values = [v + 0.0 for v in draw(st.one_of(samples, repeated))]
+    counts = draw(st.lists(st.integers(1, 5), min_size=len(values),
+                           max_size=len(values)))
+    return np.array(values), np.array(counts, dtype=np.int64)
+
+
 quantiles = st.one_of(st.floats(0.0, 100.0),
                       st.sampled_from([0.0, 50.0, 90.0, 99.0, 100.0]))
 
@@ -100,6 +114,16 @@ class TestLinearPercentiles:
         assert [bits(v) for v in got] == [bits(v) for v in expected]
         for q in qs:
             assert bits(percentile(values, q)) == bits(np.percentile(values, q))
+
+    @settings(settings.get_profile("ci"), max_examples=300)
+    @given(counted=counted_samples(),
+           qs=st.lists(quantiles, min_size=1, max_size=4))
+    def test_weighted_bits_match_numpy(self, counted, qs):
+        """Values with counts read like ``np.repeat(values, counts)``."""
+        values, counts = counted
+        expected = np.percentile(np.repeat(values, counts), qs)
+        got = linear_percentiles(values, qs, counts)
+        assert [bits(v) for v in got] == [bits(v) for v in expected]
 
     # The mean of huge samples overflows to inf; only percentiles matter.
     @pytest.mark.filterwarnings("ignore:overflow encountered")

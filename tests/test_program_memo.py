@@ -10,8 +10,6 @@ saves.
 from __future__ import annotations
 
 import dataclasses
-import sys
-import threading
 from typing import Dict, Tuple
 
 import pytest
@@ -168,40 +166,6 @@ class TestProgramMemoOracle:
         assert len(memo) == 3
         with pytest.raises(ValueError):
             ProgramMemo(capacity=0)
-
-    def test_concurrent_lookups_stay_exact_and_bounded(self, small_model):
-        """Replicas advancing on worker threads share the memo."""
-        config = CentConfig(num_devices=4)
-        steps = [(step, row) for _, step, row, _ in _walk(config, small_model, 64, 8, 8)]
-        expected = [ProgramMemo(capacity=64).cost(
-            step, row, config.timing, config.geometry) for step, row in steps]
-        memo = ProgramMemo(capacity=4)
-        failures = []
-
-        def worker(offset: int) -> None:
-            for round_index in range(3):
-                for position in range(len(steps)):
-                    index = (position + offset + round_index) % len(steps)
-                    step, row = steps[index]
-                    cost = memo.cost(step, row, config.timing, config.geometry)
-                    if cost != expected[index]:
-                        failures.append(index)
-                    if len(memo) > memo.capacity:
-                        failures.append("bound")
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(offset,))
-                       for offset in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
 
 
 class TestProgramMemoCounts:
